@@ -3,7 +3,7 @@
 The golden tests pin *that* runs are reproducible; this package pins *why*
 — by making the practices that keep them reproducible (seed-threaded RNG,
 engine-clock time, control-plane-owned mutation, explicit event ordering,
-taint-free result paths, a single job-lifecycle table) machine-checkable
+taint-free result paths, fingerprint coverage) machine-checkable
 at review time instead of tribal knowledge:
 
 ==== ====================== =====================================================
@@ -21,11 +21,14 @@ R8   exception-hygiene      no bare/swallowed broad excepts; lifecycle errors
 R9   determinism-taint      arbitrary iteration order never reaches a result
                             sink (flow-sensitive taint, full chain reported)
 R10  unordered-accumulation no float accumulation over unordered iterables
-R11  lifecycle-typestate    LEGAL_TRANSITIONS and its call sites agree; every
-                            edge is exercisable
 R12  fingerprint-coverage   every frozen-spec field reaches its fingerprint
 R13  frozen-mutation        no object.__setattr__ on specs after construction
 ==== ====================== =====================================================
+
+R11 (a static pass over the lifecycle table) is retired: a job
+stores one lifecycle state, the controller checks every edge at runtime,
+and ``tests/test_controlplane.py`` pins that the edges runs take equal the
+table exactly.  Its id is not reused.
 
 Front doors: ``python -m repro.analysis [paths…]`` and ``tcloud lint``
 (both support the incremental cache: ``--jobs``, ``--cache-dir``,

@@ -29,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "simlint: static invariant analysis for the simulator — "
-            "determinism taint, lifecycle typestate, fingerprint coverage, "
+            "determinism taint, fingerprint coverage, "
             "control-plane encapsulation, event ordering."
         ),
     )

@@ -12,7 +12,6 @@ from . import (  # noqa: F401  — imported for registration side effects
     encapsulation,
     events,
     hygiene,
-    lifecycle,
     numerics,
     ordering,
     speccheck,

@@ -2,7 +2,7 @@
 
 PR 3 funnelled all job/cluster mutations through ``ClusterController`` and
 all live-simulation copying through ``controlplane/snapshot.py``.  These
-rules keep it that way: a stray ``job.state = …`` in a scheduler or an ad
+rules keep it that way: a stray ``job.lifecycle = …`` in a scheduler or an ad
 hoc ``deepcopy`` of a live simulator reintroduces exactly the split-brain
 bookkeeping that PR 3 removed.
 """
@@ -21,6 +21,7 @@ from ..registry import Rule, register
 #: Job transition methods themselves) may assign.
 _LIFECYCLE_FIELDS = frozenset(
     {
+        "lifecycle",
         "state",
         "attempts",
         "preemptions",

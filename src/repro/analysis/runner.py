@@ -73,7 +73,7 @@ def git_changed_files(paths: Sequence[str | Path]) -> list[Path]:
     """Analyzable ``.py`` files changed vs HEAD (tracked diff + untracked).
 
     The fast pre-commit subset: project rules only see the changed files,
-    so cross-file checks (R4/R11) are authoritative only on full runs.
+    so cross-file checks (R4) are authoritative only on full runs.
     """
     changed: set[str] = set()
     for command in (

@@ -1,10 +1,11 @@
-"""The cluster control plane: lifecycle state machine, controller, snapshots.
+"""The cluster control plane: lifecycle transition table, controller, snapshots.
 
 One typed path for every job-state mutation in the simulated cluster —
 scheduler placements, quota preemptions, failure recovery, serving
-autoscaling, and user kills all flow through :class:`ClusterController`,
-which validates each move against the :class:`JobLifecycle` state machine
-and appends it to the authoritative :class:`TransitionLog`.
+autoscaling, and user kills all flow through :class:`ClusterController`.
+Each job stores its one :class:`LifecycleState`; the controller checks
+every move against :data:`LEGAL_TRANSITIONS` and appends it to the
+authoritative :class:`TransitionLog`.
 """
 
 from .controller import ClusterController, ReplicaHost, TimelineEvent
@@ -12,7 +13,6 @@ from .lifecycle import (
     LEGAL_TRANSITIONS,
     Actor,
     Cause,
-    JobLifecycle,
     LifecycleState,
     Transition,
     TransitionLog,
@@ -23,7 +23,6 @@ __all__ = [
     "Actor",
     "Cause",
     "ClusterController",
-    "JobLifecycle",
     "LEGAL_TRANSITIONS",
     "LifecycleState",
     "ReplicaHost",

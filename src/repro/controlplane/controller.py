@@ -5,11 +5,15 @@ the arrival path, the scheduler's start/preempt callbacks, the failure
 injector's consequences, the serving autoscaler's retirements, and user
 kills from ``tcloud`` — mutates job and cluster state.  Each mutation:
 
-1. validates against the :class:`~repro.controlplane.lifecycle.JobLifecycle`
-   state machine (illegal transitions raise instead of corrupting state);
-2. applies the matching :class:`~repro.workload.job.Job` transition and
+1. applies the matching :class:`~repro.workload.job.Job` transition, which
+   writes the job's one stored :class:`~repro.workload.job.LifecycleState`
+   (the controller itself writes ADMITTED and PENDING_DEPS), and the
    resource change (allocate/free, placement hooks, utilization
    accounting);
+2. checks the edge the job took against
+   :data:`~repro.controlplane.lifecycle.LEGAL_TRANSITIONS` in ``_apply``,
+   the single transition path (illegal edges raise
+   :class:`~repro.errors.IllegalTransitionError`);
 3. appends one typed :class:`~repro.controlplane.lifecycle.Transition` to
    the :class:`~repro.controlplane.lifecycle.TransitionLog` — the single
    source from which churn counters, the timeline, ``tcloud history``,
@@ -27,15 +31,14 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
 from ..cluster.cluster import Cluster
-from ..errors import SchedulingError, SimulationError
+from ..errors import IllegalTransitionError, SchedulingError, SimulationError
 from ..ids import JobId, NodeId
 from ..sched.base import Scheduler
 from ..workload.job import FailureCategory, Job, JobState
 from .lifecycle import (
-    LIFECYCLE_OF_JOB_STATE,
+    LEGAL_TRANSITIONS,
     Actor,
     Cause,
-    JobLifecycle,
     LifecycleState,
     Transition,
     TransitionLog,
@@ -91,7 +94,6 @@ class ClusterController:
         self.record_timeline = record_timeline
         self.jobs: dict[JobId, Job] = {}
         self.running: dict[JobId, Job] = {}
-        self.lifecycles: dict[JobId, JobLifecycle] = {}
         self.log = TransitionLog(retain_records=record_transitions)
         self.timeline: list[TimelineEvent] = []
         #: Planned outcome per (job, attempt); consumed when the attempt ends.
@@ -118,14 +120,8 @@ class ClusterController:
     def track(self, job: Job) -> None:
         """Register a job with the control plane (trace load / submission)."""
         self.jobs[job.job_id] = job
-        self.lifecycles[job.job_id] = JobLifecycle(
-            job.job_id, LIFECYCLE_OF_JOB_STATE[job.state]
-        )
-        if not job.state.terminal:
+        if not job.lifecycle.terminal:
             self._live_jobs += 1
-
-    def lifecycle_of(self, job_id: JobId) -> JobLifecycle:
-        return self.lifecycles[job_id]
 
     @property
     def live_jobs(self) -> int:
@@ -138,13 +134,16 @@ class ClusterController:
 
     def admit(self, now: float, job: Job) -> None:
         """Accept an arriving job and hand it to the scheduler's queue."""
-        self._apply(now, job, LifecycleState.ADMITTED, Cause.ADMIT, Actor.ADMISSION)
+        source = job.lifecycle
+        job.lifecycle = LifecycleState.ADMITTED
+        self._apply(now, job, source, Cause.ADMIT, Actor.ADMISSION)
         self.scheduler.enqueue(job, now)
 
     def reject(self, now: float, job: Job) -> None:
         """Reject an arriving job at submission (infeasible / no partition)."""
+        source = job.lifecycle
         job.kill(now)
-        self._apply(now, job, LifecycleState.KILLED, Cause.REJECT, Actor.ADMISSION)
+        self._apply(now, job, source, Cause.REJECT, Actor.ADMISSION)
 
     def hold_for_deps(self, now: float, job: Job, unmet: Iterable[JobId]) -> None:
         """Park an arriving workflow stage until its upstreams finish.
@@ -159,10 +158,12 @@ class ClusterController:
         self.waiting_on[job.job_id] = unmet_set
         for upstream in sorted(unmet_set):
             self.dependents.setdefault(upstream, []).append(job.job_id)
+        source = job.lifecycle
+        job.lifecycle = LifecycleState.PENDING_DEPS
         self._apply(
             now,
             job,
-            LifecycleState.PENDING_DEPS,
+            source,
             Cause.DEPS_HOLD,
             Actor.ADMISSION,
             detail=f"deps={len(unmet_set)}",
@@ -172,9 +173,9 @@ class ClusterController:
         """Admit a held stage whose upstreams have all finished."""
         self.waiting_on.pop(job.job_id, None)
         job.deps_released_at = now
-        self._apply(
-            now, job, LifecycleState.ADMITTED, Cause.DEPS_RELEASE, Actor.ADMISSION
-        )
+        source = job.lifecycle
+        job.lifecycle = LifecycleState.ADMITTED
+        self._apply(now, job, source, Cause.DEPS_RELEASE, Actor.ADMISSION)
         self.scheduler.enqueue(job, now)
 
     def restrict_to_partition(self, job: Job, node_ids: Iterable[NodeId]) -> None:
@@ -193,11 +194,6 @@ class ClusterController:
         if job.state is not JobState.QUEUED:
             raise SchedulingError(
                 f"scheduler tried to start {job.job_id} in state {job.state.value}"
-            )
-        if not self.lifecycles[job.job_id].can(LifecycleState.RUNNING):
-            raise SchedulingError(
-                f"scheduler tried to start {job.job_id} in lifecycle state "
-                f"{self.lifecycles[job.job_id].state.value}"
             )
         total = sum(placement.values())
         floor = job.elastic_min_gpus if job.elastic else job.num_gpus
@@ -228,6 +224,7 @@ class ClusterController:
         )
         self.scheduler.placement.on_allocate(self.cluster, job.job_id, dict(placement))
         self.metrics.on_used_changed(now, self.cluster.used_gpus)
+        source = job.lifecycle
         job.start(
             now,
             tuple(sorted(placement)),
@@ -242,7 +239,7 @@ class ClusterController:
         self._apply(
             now,
             job,
-            LifecycleState.RUNNING,
+            source,
             Cause.PLACE,
             Actor.SCHEDULER,
             detail=f"gpus={total} nodes={len(placement)}",
@@ -262,13 +259,14 @@ class ClusterController:
     ) -> None:
         """Apply the end of a completed attempt (complete/fail/walltime-kill)."""
         self._release(now, job)
+        source = job.lifecycle
         if outcome == "fail":
             assert category is not None
             job.fail(now, category)
             self._apply(
                 now,
                 job,
-                LifecycleState.FAILED,
+                source,
                 Cause.INTRINSIC_FAILURE,
                 Actor.SIMULATOR,
                 detail=category.value,
@@ -278,16 +276,14 @@ class ClusterController:
             self._apply(
                 now,
                 job,
-                LifecycleState.KILLED,
+                source,
                 Cause.WALLTIME_LIMIT,
                 Actor.SIMULATOR,
                 detail="walltime",
             )
         else:
             job.complete(now)
-            self._apply(
-                now, job, LifecycleState.FINISHED, Cause.COMPLETE, Actor.SIMULATOR
-            )
+            self._apply(now, job, source, Cause.COMPLETE, Actor.SIMULATOR)
         self.scheduler.notify_finish(job, now)
 
     def preempt(self, now: float, job: Job) -> None:
@@ -301,15 +297,16 @@ class ClusterController:
         if not self.scheduler.is_preemptible(job):
             raise SchedulingError(f"job {job.job_id} is not preemptible")
         self._release(now, job)
+        source = job.lifecycle
         job.preempt(now, checkpoint_loss=self.checkpoint_loss_s)
-        self._apply(now, job, LifecycleState.PREEMPTED, Cause.PREEMPT, Actor.SCHEDULER)
+        self._apply(now, job, source, Cause.PREEMPT, Actor.SCHEDULER)
         limit = self.max_job_preemptions
         if limit and job.preemptions > limit:
             job.fail(now, FailureCategory.PREEMPTION_LIMIT)
             self._apply(
                 now,
                 job,
-                LifecycleState.FAILED,
+                LifecycleState.PREEMPTED,
                 Cause.PREEMPTION_LIMIT,
                 Actor.SIMULATOR,
                 detail=FailureCategory.PREEMPTION_LIMIT.value,
@@ -328,14 +325,15 @@ class ClusterController:
         detail: str = "user",
     ) -> None:
         """Kill a queued or running job (user cancel, replica retirement)."""
-        if job.state.terminal:
+        source = job.lifecycle
+        if source.terminal:
             return
-        if job.state is JobState.RUNNING:
+        if source is LifecycleState.RUNNING:
             self._release(now, job)
         else:
             self.scheduler.remove(job.job_id)
         job.kill(now)
-        self._apply(now, job, LifecycleState.KILLED, cause, actor, detail=detail)
+        self._apply(now, job, source, cause, actor, detail=detail)
         self.scheduler.notify_finish(job, now)
 
     # -- failure domain -----------------------------------------------------------
@@ -355,7 +353,7 @@ class ClusterController:
                 self._apply(
                     now,
                     job,
-                    LifecycleState.FAILED,
+                    LifecycleState.RUNNING,
                     Cause.HARDWARE_FAILURE,
                     Actor.FAILURE_INJECTOR,
                     detail="hardware",
@@ -366,7 +364,7 @@ class ClusterController:
                 self._apply(
                     now,
                     job,
-                    LifecycleState.RESTARTING,
+                    LifecycleState.RUNNING,
                     Cause.NODE_FAILURE,
                     Actor.FAILURE_INJECTOR,
                     detail="node_failure",
@@ -402,25 +400,26 @@ class ClusterController:
         self,
         now: float,
         job: Job,
-        target: LifecycleState,
+        source: LifecycleState,
         cause: Cause,
         actor: Actor,
         detail: str = "",
     ) -> Transition:
-        """The single transition path: validate, log, account, record."""
-        transition = self.lifecycles[job.job_id].advance(
-            target,
-            time=now,
-            cause=cause,
-            actor=actor,
-            attempt=job.attempts,
-            detail=detail,
-        )
-        if job.state is not target.job_state:
-            raise SimulationError(
-                f"lifecycle desync for {job.job_id}: job is {job.state.value}, "
-                f"lifecycle reached {target.value}"
+        """The single transition path: validate, log, account, record.
+
+        The job has just moved from *source* to ``job.lifecycle``; that
+        edge must be in :data:`LEGAL_TRANSITIONS`.
+        """
+        target = job.lifecycle
+        if target not in LEGAL_TRANSITIONS[source]:
+            raise IllegalTransitionError(
+                f"job {job.job_id}: illegal lifecycle transition "
+                f"{source.value} -> {target.value} "
+                f"(cause={cause.value}, actor={actor.value}, t={now})"
             )
+        transition = Transition(
+            job.job_id, now, source, target, cause, actor, job.attempts, detail
+        )
         self.log.append(transition)
         self._account(transition)
         if self.record_timeline:

@@ -1,27 +1,26 @@
-"""The typed job-lifecycle state machine.
+"""The job-lifecycle transition table and its typed record.
 
 Every job in the simulated cluster moves through one explicit lifecycle::
 
                       ┌────────────────────────────┐
     PENDING ──admit──► ADMITTED ──place──► RUNNING ├──complete──► FINISHED
-       │                 │  ▲                │ │ │ └──fail──────► FAILED
+       │                 │                   │ │ │ └──fail──────► FAILED
        └──reject/kill──► KILLED ◄──kill──────┘ │ └─node_failure─► RESTARTING
                                                └────preempt────► PREEMPTED
-    (PREEMPTED / RESTARTING ──place──► RUNNING again, or terminal)
+    (PREEMPTED / RESTARTING ──place──► RUNNING again, or kill ──► KILLED;
+    PREEMPTED ──preemption_limit──► FAILED)
     (workflow stages: PENDING ──deps_hold──► PENDING_DEPS, which exits via
-    deps_release──► ADMITTED or upstream_failed/kill──► KILLED / FAILED)
+    deps_release──► ADMITTED or upstream_failed/kill──► KILLED)
 
-States are *observations* layered over :class:`~repro.workload.job.Job`:
-the five-state ``JobState`` persisted on the job collapses ADMITTED /
-PREEMPTED / RESTARTING into ``QUEUED``; the lifecycle keeps them distinct
-because *why* a job is queued (fresh, evicted, crashed) is exactly what
-operational metrics and the timeline need.
-
-Every mutation produces a frozen :class:`Transition` record carrying the
-cause, the actor that requested it, and the simulated timestamp.  Illegal
-transitions raise :class:`~repro.errors.IllegalTransitionError` instead of
-silently corrupting metrics — the state machine is the contract, not a
-convention.
+The state itself is stored once, on the job
+(:attr:`~repro.workload.job.Job.lifecycle`, a :class:`LifecycleState`);
+``job.state`` is its coarse five-state view.  This module holds what the
+control plane checks and records: :data:`LEGAL_TRANSITIONS`, and the
+frozen :class:`Transition` each move produces, carrying the cause, the
+actor that requested it, and the simulated timestamp.  An edge the table
+does not list raises :class:`~repro.errors.IllegalTransitionError` in the
+controller's single transition path instead of silently corrupting
+metrics — the state machine is the contract, not a convention.
 """
 
 from __future__ import annotations
@@ -30,58 +29,16 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..errors import IllegalTransitionError
-from ..workload.job import JobState
+from ..workload.job import LifecycleState
 
-
-class LifecycleState(enum.Enum):
-    """Control-plane view of where a job is in its life."""
-
-    PENDING = "pending"  # submitted, arrival not yet processed
-    PENDING_DEPS = "pending_deps"  # workflow stage held on upstream stages
-    ADMITTED = "admitted"  # accepted and enqueued with the scheduler
-    RUNNING = "running"
-    PREEMPTED = "preempted"  # gracefully evicted, back in the queue
-    RESTARTING = "restarting"  # evicted by a node failure, back in the queue
-    FINISHED = "finished"
-    KILLED = "killed"
-    FAILED = "failed"
-
-    @property
-    def terminal(self) -> bool:
-        return self in _TERMINAL
-
-    @property
-    def job_state(self) -> JobState:
-        """The coarse five-state ``JobState`` this lifecycle state maps to."""
-        return _JOB_STATE_OF[self]
-
-
-_TERMINAL = frozenset(
-    {LifecycleState.FINISHED, LifecycleState.KILLED, LifecycleState.FAILED}
-)
-
-_JOB_STATE_OF: dict[LifecycleState, JobState] = {
-    LifecycleState.PENDING: JobState.QUEUED,
-    LifecycleState.PENDING_DEPS: JobState.QUEUED,
-    LifecycleState.ADMITTED: JobState.QUEUED,
-    LifecycleState.RUNNING: JobState.RUNNING,
-    LifecycleState.PREEMPTED: JobState.QUEUED,
-    LifecycleState.RESTARTING: JobState.QUEUED,
-    LifecycleState.FINISHED: JobState.COMPLETED,
-    LifecycleState.KILLED: JobState.KILLED,
-    LifecycleState.FAILED: JobState.FAILED,
-}
-
-#: Lifecycle state corresponding to each coarse job state (used to seed the
-#: lifecycle of jobs that enter the simulation already started/terminal).
-LIFECYCLE_OF_JOB_STATE: dict[JobState, LifecycleState] = {
-    JobState.QUEUED: LifecycleState.PENDING,
-    JobState.RUNNING: LifecycleState.RUNNING,
-    JobState.COMPLETED: LifecycleState.FINISHED,
-    JobState.KILLED: LifecycleState.KILLED,
-    JobState.FAILED: LifecycleState.FAILED,
-}
+__all__ = [
+    "LEGAL_TRANSITIONS",
+    "Actor",
+    "Cause",
+    "LifecycleState",
+    "Transition",
+    "TransitionLog",
+]
 
 #: The complete legal-transition relation.  Anything not listed raises.
 LEGAL_TRANSITIONS: dict[LifecycleState, frozenset[LifecycleState]] = {
@@ -92,11 +49,13 @@ LEGAL_TRANSITIONS: dict[LifecycleState, frozenset[LifecycleState]] = {
     # are admission (all upstreams finished) or death (an upstream failed /
     # user kill) — never directly to RUNNING.
     LifecycleState.PENDING_DEPS: frozenset(
-        {LifecycleState.ADMITTED, LifecycleState.KILLED, LifecycleState.FAILED}
+        {LifecycleState.ADMITTED, LifecycleState.KILLED}
     ),
     LifecycleState.ADMITTED: frozenset(
-        {LifecycleState.RUNNING, LifecycleState.KILLED, LifecycleState.FAILED}
+        {LifecycleState.RUNNING, LifecycleState.KILLED}
     ),
+    # Every failure is decided on a running attempt, except the
+    # preemption limit, which fails the job right after its eviction.
     LifecycleState.RUNNING: frozenset(
         {
             LifecycleState.FINISHED,
@@ -110,7 +69,7 @@ LEGAL_TRANSITIONS: dict[LifecycleState, frozenset[LifecycleState]] = {
         {LifecycleState.RUNNING, LifecycleState.KILLED, LifecycleState.FAILED}
     ),
     LifecycleState.RESTARTING: frozenset(
-        {LifecycleState.RUNNING, LifecycleState.KILLED, LifecycleState.FAILED}
+        {LifecycleState.RUNNING, LifecycleState.KILLED}
     ),
     LifecycleState.FINISHED: frozenset(),
     LifecycleState.KILLED: frozenset(),
@@ -196,58 +155,6 @@ class Transition:
         return line
 
 
-class JobLifecycle:
-    """The live state machine of one job.
-
-    Owns only the current :class:`LifecycleState`; history lives in the
-    controller's :class:`TransitionLog`.  :meth:`advance` is the *only*
-    way to move, and it validates against :data:`LEGAL_TRANSITIONS`.
-    """
-
-    __slots__ = ("job_id", "state")
-
-    def __init__(
-        self, job_id: str, state: LifecycleState = LifecycleState.PENDING
-    ) -> None:
-        self.job_id = job_id
-        self.state = state
-
-    def can(self, target: LifecycleState) -> bool:
-        return target in LEGAL_TRANSITIONS[self.state]
-
-    def advance(
-        self,
-        target: LifecycleState,
-        *,
-        time: float,
-        cause: Cause,
-        actor: Actor,
-        attempt: int,
-        detail: str = "",
-    ) -> Transition:
-        if not self.can(target):
-            raise IllegalTransitionError(
-                f"job {self.job_id}: illegal lifecycle transition "
-                f"{self.state.value} -> {target.value} "
-                f"(cause={cause.value}, actor={actor.value}, t={time})"
-            )
-        transition = Transition(
-            job_id=self.job_id,
-            time=time,
-            source=self.state,
-            target=target,
-            cause=cause,
-            actor=actor,
-            attempt=attempt,
-            detail=detail,
-        )
-        self.state = target
-        return transition
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"JobLifecycle({self.job_id!r}, {self.state.value})"
-
-
 class TransitionLog:
     """Append-only record of every lifecycle transition in a run.
 
@@ -265,16 +172,14 @@ class TransitionLog:
         self.retain_records = retain_records
         self.records: list[Transition] = []
         self._total = 0
-        self._by_target: dict[LifecycleState, int] = {}
-        self._by_cause: dict[Cause, int] = {}
+        #: The one counter: (target, cause) -> count, in first-seen order.
+        #: Per-target and per-cause totals are its marginals.
         self._by_pair: dict[tuple[LifecycleState, Cause], int] = {}
 
     def append(self, transition: Transition) -> None:
         if self.retain_records:
             self.records.append(transition)
         self._total += 1
-        self._by_target[transition.target] = self._by_target.get(transition.target, 0) + 1
-        self._by_cause[transition.cause] = self._by_cause.get(transition.cause, 0) + 1
         pair = (transition.target, transition.cause)
         self._by_pair[pair] = self._by_pair.get(pair, 0) + 1
 
@@ -287,14 +192,18 @@ class TransitionLog:
     def count(
         self, target: LifecycleState | None = None, cause: Cause | None = None
     ) -> int:
-        """O(1) count by target state and/or cause (exact even when record
-        retention is off — counts are maintained independently)."""
+        """Count by target state and/or cause (exact even when record
+        retention is off — counts are maintained independently).
+
+        A marginal sums over the observed (target, cause) pairs, of which
+        there are a few dozen at most.
+        """
         if target is not None and cause is not None:
             return self._by_pair.get((target, cause), 0)
         if target is not None:
-            return self._by_target.get(target, 0)
+            return sum(n for (t, _c), n in self._by_pair.items() if t is target)
         if cause is not None:
-            return self._by_cause.get(cause, 0)
+            return sum(n for (_t, c), n in self._by_pair.items() if c is cause)
         return self._total
 
     def for_job(self, job_id: str) -> list[Transition]:
@@ -302,4 +211,7 @@ class TransitionLog:
 
     def by_cause(self) -> dict[str, int]:
         """Cause -> count, in first-seen order (reporting)."""
-        return {cause.value: count for cause, count in self._by_cause.items()}
+        counts: dict[str, int] = {}
+        for (_target, cause), count in self._by_pair.items():
+            counts[cause.value] = counts.get(cause.value, 0) + count
+        return counts

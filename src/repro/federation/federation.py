@@ -321,8 +321,9 @@ class FederationSimulator:
                 if not self._may_move(job, now):
                     continue
                 # Waiting time since the job last held resources here (or
-                # since submission if it never ran).  JobLifecycle keeps no
-                # timestamps, so this is a deliberate conservative proxy.
+                # since submission if it never ran).  A job's lifecycle
+                # state carries no entry time, so this is a deliberate
+                # conservative proxy.
                 waited = now - (
                     job.last_start_time
                     if job.last_start_time is not None

@@ -349,7 +349,7 @@ class ClusterSimulator:
         """
         unmet: list[JobId] = []
         for upstream_id in job.depends_on:
-            state = self.controller.lifecycle_of(upstream_id).state
+            state = self.jobs[upstream_id].lifecycle
             if state is LifecycleState.FINISHED:
                 continue
             if state.terminal:
@@ -368,12 +368,10 @@ class ClusterSimulator:
         self.engine.schedule_at(now, DependencyRelease(job_id))
 
     def _on_dependency_release(self, now: float, event: DependencyRelease) -> None:
-        if (
-            self.controller.lifecycle_of(event.job_id).state
-            is not LifecycleState.PENDING_DEPS
-        ):
+        job = self.jobs[event.job_id]
+        if job.lifecycle is not LifecycleState.PENDING_DEPS:
             return  # killed (or cascade-killed) while held; release is stale
-        self.controller.release_deps(now, self.jobs[event.job_id])
+        self.controller.release_deps(now, job)
         self._request_tick(now)
 
     def _admit_partition(self, job: Job) -> bool:
@@ -606,10 +604,7 @@ class ClusterSimulator:
         plane.
         """
         for job in self.scheduler.queue:
-            if (
-                self.controller.lifecycle_of(job.job_id).state
-                is LifecycleState.PENDING_DEPS
-            ):
+            if job.lifecycle is LifecycleState.PENDING_DEPS:
                 raise SimulationError(
                     f"dependency-held job {job.job_id} leaked into the scheduler queue"
                 )

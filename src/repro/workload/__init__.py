@@ -8,6 +8,7 @@ from .job import (
     Job,
     JobState,
     JobTier,
+    LifecycleState,
     ResourceRequest,
 )
 from .models import (
@@ -49,6 +50,7 @@ __all__ = [
     "Job",
     "JobState",
     "JobTier",
+    "LifecycleState",
     "ModelProfile",
     "PipelineSynthesizer",
     "PipelineTraceConfig",

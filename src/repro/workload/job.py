@@ -7,14 +7,24 @@ The execution layer stretches that by a slowdown factor for slower GPU types
 or spread-out placements, and preemption checkpoints the remaining work, so
 a job's lifetime can span several run attempts.
 
-State machine (enforced by the transition methods)::
+Each job stores exactly one state, its :class:`LifecycleState`
+(``job.lifecycle``).  The transition methods below write the state they
+mean; the control plane writes ADMITTED and PENDING_DEPS itself, checks
+every edge against its legal-transition table and logs it::
 
-    QUEUED ──start──▶ RUNNING ──complete──▶ COMPLETED
-      ▲                  │ │ \──fail──▶ FAILED
-      └────requeue───────┘ └──kill──▶ KILLED
-           (preempt / node failure)
+    PENDING ──admit──▶ ADMITTED ──start──▶ RUNNING ──complete──▶ FINISHED
+       │ (deps_hold)      ▲                 │ │ │ └──fail──────▶ FAILED
+       ▼                  │                 │ │ └──kill──────▶ KILLED
+    PENDING_DEPS ─release─┘                 │ └──requeue──▶ RESTARTING
+                                            └────preempt──▶ PREEMPTED
+    (PREEMPTED / RESTARTING ──start──▶ RUNNING again; PREEMPTED may fail
+    at the preemption limit; any live state may be killed)
 
-Terminal states are COMPLETED, FAILED and KILLED.
+``job.state`` is the read-only five-state :class:`JobState` view of it:
+PENDING, PENDING_DEPS, ADMITTED, PREEMPTED and RESTARTING all read as
+QUEUED, FINISHED reads as COMPLETED.  The fine state keeps *why* a job is
+queued (fresh, held, evicted, crashed), which operational metrics and the
+timeline need.  Terminal states are FINISHED, FAILED and KILLED.
 """
 
 from __future__ import annotations
@@ -36,6 +46,42 @@ class JobState(enum.Enum):
     @property
     def terminal(self) -> bool:
         return self in (JobState.COMPLETED, JobState.FAILED, JobState.KILLED)
+
+
+class LifecycleState(enum.Enum):
+    """Where a job is in its life: the one stored state of a :class:`Job`."""
+
+    #: The coarse five-state view (set for every member below the class).
+    job_state: JobState
+    terminal: bool
+
+    PENDING = "pending"  # submitted, arrival not yet processed
+    PENDING_DEPS = "pending_deps"  # workflow stage held on upstream stages
+    ADMITTED = "admitted"  # accepted and enqueued with the scheduler
+    RUNNING = "running"
+    PREEMPTED = "preempted"  # gracefully evicted, back in the queue
+    RESTARTING = "restarting"  # evicted by a node failure, back in the queue
+    FINISHED = "finished"
+    KILLED = "killed"
+    FAILED = "failed"
+
+
+# Plain member attributes, not a dict: ``job.state`` and ``terminal`` are
+# read on every scheduling decision, and enum hashing is a Python call.
+for _state, _coarse in (
+    (LifecycleState.PENDING, JobState.QUEUED),
+    (LifecycleState.PENDING_DEPS, JobState.QUEUED),
+    (LifecycleState.ADMITTED, JobState.QUEUED),
+    (LifecycleState.RUNNING, JobState.RUNNING),
+    (LifecycleState.PREEMPTED, JobState.QUEUED),
+    (LifecycleState.RESTARTING, JobState.QUEUED),
+    (LifecycleState.FINISHED, JobState.COMPLETED),
+    (LifecycleState.KILLED, JobState.KILLED),
+    (LifecycleState.FAILED, JobState.FAILED),
+):
+    _state.job_state = _coarse
+    _state.terminal = _coarse.terminal
+del _state, _coarse
 
 
 class JobTier(enum.Enum):
@@ -169,7 +215,7 @@ class Job:
     artifact_bytes: float = 0.0
 
     # -- runtime state (managed by transition methods) --
-    state: JobState = JobState.QUEUED
+    lifecycle: LifecycleState = field(default=LifecycleState.PENDING, init=False)
     remaining_work: float = field(init=False)
     attempts: int = 0
     preemptions: int = 0
@@ -248,8 +294,13 @@ class Job:
         return self.end_time - self.submit_time
 
     @property
+    def state(self) -> JobState:
+        """The coarse five-state view of :attr:`lifecycle` (read-only)."""
+        return self.lifecycle.job_state
+
+    @property
     def finished(self) -> bool:
-        return self.state.terminal
+        return self.lifecycle.terminal
 
     def expected_runtime(self, slowdown: float = 1.0) -> float:
         """Wall time to finish remaining work at the given slowdown."""
@@ -261,7 +312,7 @@ class Job:
         ``remaining_work`` is only checkpointed at segment boundaries;
         this extrapolates through the current running segment.
         """
-        if self.state is JobState.RUNNING and self.last_start_time is not None:
+        if self.lifecycle is LifecycleState.RUNNING and self.last_start_time is not None:
             elapsed = max(0.0, now - self.last_start_time - self.current_setup_s)
             return max(0.0, self.remaining_work - elapsed / self.current_slowdown)
         return self.remaining_work
@@ -272,7 +323,7 @@ class Job:
         Backfill reservations use this, never the true duration — mirroring
         real systems where the scheduler only sees wall-time limits.
         """
-        if self.state is JobState.RUNNING and self.last_start_time is not None:
+        if self.lifecycle is LifecycleState.RUNNING and self.last_start_time is not None:
             elapsed = now - self.last_start_time
             return max(0.0, self.walltime_estimate - elapsed)
         return self.walltime_estimate or 0.0
@@ -294,7 +345,7 @@ class Job:
         granted_gpus: int | None = None,
         setup_s: float = 0.0,
     ) -> None:
-        """QUEUED → RUNNING on the given nodes at the given slowdown.
+        """Queued → RUNNING on the given nodes at the given slowdown.
 
         ``granted_gpus`` defaults to the full request; elastic jobs may be
         granted anywhere in ``[elastic_min_gpus, num_gpus]``.  ``setup_s``
@@ -316,7 +367,7 @@ class Job:
                 f"job {self.job_id} granted {granted} GPUs outside "
                 f"[{floor}, {self.num_gpus}]"
             )
-        self.state = JobState.RUNNING
+        self.lifecycle = LifecycleState.RUNNING
         self.attempts += 1
         self.last_start_time = now
         if self.first_start_time is None:
@@ -345,7 +396,7 @@ class Job:
         self.productive_gpu_seconds += work * self.num_gpus
 
     def preempt(self, now: float, checkpoint_loss: float = 0.0) -> None:
-        """RUNNING → QUEUED, checkpointing progress.
+        """RUNNING → PREEMPTED (queued), checkpointing progress.
 
         ``checkpoint_loss`` seconds of completed work are lost (re-done on
         the next attempt), modelling checkpoint granularity.
@@ -362,12 +413,12 @@ class Job:
         # the value stays non-negative.
         self.productive_gpu_seconds -= redone * self.num_gpus
         self.preemptions += 1
-        self.state = JobState.QUEUED
+        self.lifecycle = LifecycleState.PREEMPTED
         self.current_nodes = ()
         self.current_gpus = 0
 
     def requeue(self, now: float, work_lost: bool = True) -> None:
-        """RUNNING → QUEUED after an external kill (e.g. node failure).
+        """RUNNING → RESTARTING (queued) after an external kill (e.g. node failure).
 
         Unlike :meth:`preempt` there is no graceful checkpoint: when
         ``work_lost`` the whole current attempt's progress is discarded.
@@ -379,12 +430,12 @@ class Job:
             self.gpu_seconds_used += elapsed * (self.current_gpus or self.num_gpus)
         else:
             self._accrue(now)
-        self.state = JobState.QUEUED
+        self.lifecycle = LifecycleState.RESTARTING
         self.current_nodes = ()
         self.current_gpus = 0
 
     def complete(self, now: float) -> None:
-        """RUNNING → COMPLETED; remaining work must be exhausted."""
+        """RUNNING → FINISHED; remaining work must be exhausted."""
         self._require_state(JobState.RUNNING, "complete")
         self._accrue(now)
         if self.remaining_work > 1e-6:
@@ -393,36 +444,36 @@ class Job:
                 "of work remaining"
             )
         self.remaining_work = 0.0
-        self.state = JobState.COMPLETED
+        self.lifecycle = LifecycleState.FINISHED
         self.end_time = now
         self.current_nodes = ()
         self.current_gpus = 0
 
     def fail(self, now: float, category: FailureCategory) -> None:
-        """RUNNING/QUEUED → FAILED with a taxonomy category.
+        """Running or queued → FAILED with a taxonomy category.
 
         Failing from QUEUED covers administrative failures decided off the
         node, e.g. exceeding the preemption limit right after an eviction.
         """
-        if self.state is JobState.RUNNING:
+        if self.lifecycle is LifecycleState.RUNNING:
             self._accrue(now)
         elif self.state is not JobState.QUEUED:
             raise JobStateError(
                 f"cannot fail job {self.job_id}: state is {self.state.value}"
             )
-        self.state = JobState.FAILED
+        self.lifecycle = LifecycleState.FAILED
         self.failure_category = category
         self.end_time = now
         self.current_nodes = ()
         self.current_gpus = 0
 
     def kill(self, now: float) -> None:
-        """QUEUED/RUNNING → KILLED (user cancellation)."""
-        if self.state.terminal:
+        """Any live state → KILLED (user cancellation)."""
+        if self.lifecycle.terminal:
             raise JobStateError(f"cannot kill job {self.job_id}: already {self.state.value}")
-        if self.state is JobState.RUNNING:
+        if self.lifecycle is LifecycleState.RUNNING:
             self._accrue(now)
-        self.state = JobState.KILLED
+        self.lifecycle = LifecycleState.KILLED
         self.end_time = now
         self.current_nodes = ()
         self.current_gpus = 0

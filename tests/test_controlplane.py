@@ -11,7 +11,6 @@ from repro.controlplane import (
     LEGAL_TRANSITIONS,
     Actor,
     Cause,
-    JobLifecycle,
     LifecycleState,
     Transition,
     TransitionLog,
@@ -19,7 +18,7 @@ from repro.controlplane import (
 from repro.errors import IllegalTransitionError, JobStateError, SchedulingError
 from repro.sched import GreedyFifoScheduler, QuotaConfig, TieredQuotaScheduler
 from repro.sim import ClusterSimulator, SimConfig
-from repro.workload import JobState, Trace
+from repro.workload import FailureCategory, FailurePlan, JobState, Trace
 from tests.conftest import make_job
 
 #: Minimal (cause, actor) choice per target state, for matrix probing.
@@ -36,6 +35,18 @@ _EDGE_LABEL = {
 }
 
 
+def idle_controller(job):
+    """The controller of an empty one-node sim, tracking *job*."""
+    sim = ClusterSimulator(
+        uniform_cluster(1, gpus_per_node=8),
+        GreedyFifoScheduler(),
+        Trace([], name="unit"),
+        config=SimConfig(sample_interval_s=0.0),
+    )
+    sim.controller.track(job)
+    return sim.controller
+
+
 class TestLifecycleMatrix:
     """Exhaustive legal/illegal transition matrix over all 81 state pairs."""
 
@@ -45,48 +56,80 @@ class TestLifecycleMatrix:
         ids=lambda s: s.value,
     )
     def test_every_pair(self, source, target):
-        lifecycle = JobLifecycle("job-x", source)
+        job = make_job("job-x")
+        controller = idle_controller(job)
+        # The move a Job transition method (or admission) has just made;
+        # the controller's single transition path then judges the edge.
+        job.lifecycle = target
         cause, actor = _EDGE_LABEL[target]
-        legal = target in LEGAL_TRANSITIONS[source]
-        assert lifecycle.can(target) is legal
-        if legal:
-            transition = lifecycle.advance(
-                target, time=1.0, cause=cause, actor=actor, attempt=0
-            )
-            assert lifecycle.state is target
+        if target in LEGAL_TRANSITIONS[source]:
+            transition = controller._apply(1.0, job, source, cause, actor)
             assert transition.source is source
             assert transition.target is target
+            assert list(controller.log) == [transition]
         else:
             with pytest.raises(IllegalTransitionError):
-                lifecycle.advance(target, time=1.0, cause=cause, actor=actor, attempt=0)
-            assert lifecycle.state is source  # unchanged on rejection
+                controller._apply(1.0, job, source, cause, actor)
+            assert len(controller.log) == 0  # nothing recorded on rejection
 
     def test_matrix_shape(self):
         # Every state has an entry; terminal states have no outgoing edges.
         assert set(LEGAL_TRANSITIONS) == set(LifecycleState)
         for state in LifecycleState:
             assert bool(LEGAL_TRANSITIONS[state]) != state.terminal
+        # Every failure is decided on a running attempt, or right after an
+        # eviction at the preemption limit.
+        failed_from = {
+            source
+            for source, targets in LEGAL_TRANSITIONS.items()
+            if LifecycleState.FAILED in targets
+        }
+        assert failed_from == {LifecycleState.RUNNING, LifecycleState.PREEMPTED}
+
+    def test_real_table_has_exactly_seventeen_edges(self):
         legal_count = sum(len(targets) for targets in LEGAL_TRANSITIONS.values())
-        assert legal_count == 20
+        assert legal_count == 17
 
     def test_illegal_transition_is_a_job_state_error(self):
-        lifecycle = JobLifecycle("job-x", LifecycleState.FINISHED)
+        job = make_job("job-x")
+        controller = idle_controller(job)
+        job.lifecycle = LifecycleState.RUNNING
         with pytest.raises(JobStateError):
-            lifecycle.advance(
-                LifecycleState.RUNNING,
-                time=0.0,
-                cause=Cause.PLACE,
-                actor=Actor.SCHEDULER,
-                attempt=1,
+            controller._apply(
+                0.0, job, LifecycleState.FINISHED, Cause.PLACE, Actor.SCHEDULER
             )
 
     def test_job_state_projection(self):
+        assert LifecycleState.PENDING.job_state is JobState.QUEUED
         assert LifecycleState.ADMITTED.job_state is JobState.QUEUED
         assert LifecycleState.PENDING_DEPS.job_state is JobState.QUEUED
         assert LifecycleState.PREEMPTED.job_state is JobState.QUEUED
         assert LifecycleState.RESTARTING.job_state is JobState.QUEUED
         assert LifecycleState.RUNNING.job_state is JobState.RUNNING
         assert LifecycleState.FINISHED.job_state is JobState.COMPLETED
+        assert LifecycleState.KILLED.job_state is JobState.KILLED
+        assert LifecycleState.FAILED.job_state is JobState.FAILED
+        for state in LifecycleState:
+            assert state.terminal is state.job_state.terminal
+
+    def test_job_stores_one_state(self):
+        """``job.state`` is a read-only view of the one stored lifecycle."""
+        job = make_job("job-x")
+        assert job.lifecycle is LifecycleState.PENDING
+        assert job.state is JobState.QUEUED
+        job.start(0.0, ("node-0",))
+        assert job.lifecycle is LifecycleState.RUNNING
+        job.preempt(10.0)
+        assert job.lifecycle is LifecycleState.PREEMPTED
+        assert job.state is JobState.QUEUED
+        job.start(20.0, ("node-0",))
+        job.requeue(30.0)
+        assert job.lifecycle is LifecycleState.RESTARTING
+        job.kill(40.0)
+        assert job.lifecycle is LifecycleState.KILLED
+        assert job.state is JobState.KILLED and job.finished
+        with pytest.raises(AttributeError):
+            job.state = JobState.RUNNING
 
 
 class TestTransitionRecords:
@@ -146,6 +189,31 @@ class TestTransitionRecords:
         assert log.count() == 2
         assert [t.job_id for t in log.for_job("job-2")] == ["job-2"]
         assert log.by_cause() == {"place": 1, "complete": 1}
+        # retain_records=False drops the records but no count, and the
+        # cause marginal keeps first-seen order across targets.
+        log = TransitionLog(retain_records=False)
+        edges = [
+            (LifecycleState.ADMITTED, Cause.ADMIT),
+            (LifecycleState.KILLED, Cause.USER_KILL),
+            (LifecycleState.RUNNING, Cause.PLACE),
+            (LifecycleState.KILLED, Cause.REJECT),
+            (LifecycleState.KILLED, Cause.USER_KILL),
+            (LifecycleState.ADMITTED, Cause.ADMIT),
+        ]
+        for i, (target, cause) in enumerate(edges):
+            log.append(self.transition(job_id=f"job-{i}", target=target, cause=cause))
+        assert list(log) == [] and log.for_job("job-0") == []
+        assert len(log) == log.count() == 6
+        assert log.count(target=LifecycleState.KILLED) == 3
+        assert log.count(target=LifecycleState.FINISHED) == 0
+        assert log.count(cause=Cause.USER_KILL) == 2
+        assert log.count(target=LifecycleState.KILLED, cause=Cause.REJECT) == 1
+        assert list(log.by_cause().items()) == [
+            ("admit", 2),
+            ("user_kill", 2),
+            ("place", 1),
+            ("reject", 1),
+        ]
 
 
 def quota_sim(jobs, **config_kwargs):
@@ -320,6 +388,107 @@ class TestControllerPaths:
         terminal = sum(log.count(target=s) for s in LifecycleState if s.terminal)
         assert terminal == len(jobs)
         assert sim.controller.live_jobs == 0
+
+
+def _taken_edges(sim):
+    return {(t.source, t.target) for t in sim.controller.log}
+
+
+class TestEdgeCoverage:
+    """The edges real runs take equal ``LEGAL_TRANSITIONS`` exactly.
+
+    An edge a code path takes but the table lacks raises
+    ``IllegalTransitionError`` in the scenarios below; a table edge no
+    scenario takes fails the final equality.  Either way the table and the
+    code can only drift apart through a failing test.
+    """
+
+    def _workflow_run(self):
+        """Admission, rejection, dependency holds and intrinsic failure."""
+        bad_plan = FailurePlan(FailureCategory.USER_ERROR, at_fraction=0.5)
+        jobs = [
+            make_job("up-ok", duration=100.0),
+            make_job("down-ok", duration=100.0, depends_on=("up-ok",)),
+            make_job("up-bad", duration=100.0, failure_plan=bad_plan),
+            make_job("down-bad", duration=100.0, depends_on=("up-bad",)),
+            make_job("huge", num_gpus=4096, duration=100.0),
+        ]
+        sim = ClusterSimulator(
+            uniform_cluster(2, gpus_per_node=8),
+            GreedyFifoScheduler(),
+            Trace(jobs, name="unit"),
+            config=SimConfig(sample_interval_s=0.0, record_transitions=True),
+        )
+        sim.run()
+        assert sim.jobs["down-ok"].state is JobState.COMPLETED
+        assert sim.jobs["down-bad"].lifecycle is LifecycleState.KILLED
+        return sim
+
+    def _kill_and_node_failure_run(self):
+        """User kills of admitted/running/restarting jobs; node failures."""
+        jobs = [make_job(name, num_gpus=8, duration=90_000.0) for name in "abcd"]
+        sim = ClusterSimulator(
+            uniform_cluster(3, gpus_per_node=8),
+            GreedyFifoScheduler(),
+            Trace(jobs, name="unit"),
+            config=SimConfig(sample_interval_s=0.0, record_transitions=True),
+        )
+        sim.engine.run(until=1.0)
+        now = sim.engine.now
+        a, b, c, d = (sim.jobs[name] for name in "abcd")
+        assert d.lifecycle is LifecycleState.ADMITTED  # three nodes, four jobs
+        sim.kill_job("d")
+        sim.kill_job("c")  # frees a node for a's restart
+        sim.controller.apply_node_failure(now, a.current_nodes[0], max_restarts=5)
+        assert a.lifecycle is LifecycleState.RESTARTING
+        sim._run_scheduler_pass(now)
+        assert a.lifecycle is LifecycleState.RUNNING
+        sim.controller.apply_node_failure(now, b.current_nodes[0], max_restarts=5)
+        assert b.lifecycle is LifecycleState.RESTARTING
+        sim.kill_job("b")  # no healthy free node: killed while restarting
+        assert b.lifecycle is LifecycleState.KILLED
+        assert sim.scheduler.queue_depth == 0
+        sim.controller.apply_node_failure(now, a.current_nodes[0], max_restarts=0)
+        assert a.lifecycle is LifecycleState.FAILED
+        assert sim.controller.live_jobs == 0
+        sim.cluster.verify_invariants()
+        return sim
+
+    def _preemption_run(self, *, limit):
+        """Evict the victim; restart it, or kill it while preempted."""
+        victim = make_job("victim", num_gpus=8, duration=9000.0, lab="lab-b")
+        sim, _sched, _cluster = quota_sim(
+            [victim], max_job_preemptions=limit, record_transitions=True
+        )
+        sim.engine.run(until=5.0)
+        now = sim.engine.now
+        sim.controller.preempt(now, victim)
+        assert victim.lifecycle is LifecycleState.PREEMPTED
+        if limit:
+            sim._run_scheduler_pass(now)
+            sim.controller.preempt(now, victim)  # over the limit: fails
+            assert victim.lifecycle is LifecycleState.FAILED
+        else:
+            sim.kill_job("victim")  # queued again, so leaves the queue
+            assert victim.lifecycle is LifecycleState.KILLED
+            assert sim.scheduler.queue_depth == 0
+        return sim
+
+    def test_runs_take_exactly_the_table_edges(self):
+        table = {
+            (source, target)
+            for source, targets in LEGAL_TRANSITIONS.items()
+            for target in targets
+        }
+        taken = set().union(
+            _taken_edges(self._workflow_run()),
+            _taken_edges(self._kill_and_node_failure_run()),
+            _taken_edges(self._preemption_run(limit=1)),
+            _taken_edges(self._preemption_run(limit=0)),
+        )
+        assert taken == table, (
+            f"untaken table edges: {sorted((s.value, t.value) for s, t in table - taken)}"
+        )
 
 
 class TestServingAttribution:

@@ -16,7 +16,6 @@ import pytest
 
 from repro.analysis import (
     Baseline,
-    FileContext,
     LintCache,
     all_rules,
     analyze_paths,
@@ -26,7 +25,6 @@ from repro.analysis import (
     run_lint,
 )
 from repro.analysis.__main__ import main as simlint_main
-from repro.analysis.typestate import build_model, edge_coverage, extract_typestate
 from repro.tcloud.cli import main as tcloud_main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -44,7 +42,6 @@ RULE_FIXTURES = {
     "R8": ("r8", "src/repro/sim/fixture.py"),
     "R9": ("r9", "src/repro/workload/fixture.py"),
     "R10": ("r10", "src/repro/workload/fixture.py"),
-    "R11": ("r11", "src/repro/controlplane/fixture.py"),
     "R12": ("r12", "src/repro/schema/fixture.py"),
     "R13": ("r13", "src/repro/sim/fixture.py"),
 }
@@ -215,57 +212,6 @@ class TestTaintDataflow:
             "    return sum(sorted(prices))\n"
         )
         assert analyze_source(source, self.SIM) == []
-
-
-class TestTypestate:
-    """R11: the real lifecycle table is fully covered; drift is caught."""
-
-    CONTROLPLANE = (
-        "src/repro/controlplane/lifecycle.py",
-        "src/repro/controlplane/controller.py",
-    )
-
-    def _model(self):
-        summaries = []
-        for rel in self.CONTROLPLANE:
-            ctx = FileContext.from_source((REPO / rel).read_text(), rel)
-            summary = extract_typestate(ctx)
-            if summary is not None:
-                summaries.append((rel, summary))
-        model = build_model(sorted(summaries))
-        assert model is not None
-        return model
-
-    def test_real_table_has_exactly_twenty_edges(self):
-        assert len(self._model().all_edges()) == 20
-
-    def test_every_real_edge_is_exercised_by_a_call_site(self):
-        model = self._model()
-        covered, uncovered = edge_coverage(model)
-        assert uncovered == frozenset(), f"dead table edges: {sorted(uncovered)}"
-        assert covered == model.all_edges()
-
-    def test_bad_fixture_reports_illegal_edge_with_evidence(self):
-        findings = analyze_source(
-            fixture_source("r11_bad"), RULE_FIXTURES["R11"][1]
-        )
-        messages = [f.message for f in findings]
-        assert any(
-            "illegal lifecycle edge" in m
-            and "bad_restart()" in m
-            and "{KILLED}" in m
-            and "{PENDING}" in m
-            for m in messages
-        ), messages
-
-    def test_bad_fixture_reports_the_dead_table_edge(self):
-        findings = analyze_source(
-            fixture_source("r11_bad"), RULE_FIXTURES["R11"][1]
-        )
-        messages = [f.message for f in findings]
-        assert any(
-            "PENDING->RUNNING" in m and "not exercisable" in m for m in messages
-        ), messages
 
 
 class TestLintCache:
