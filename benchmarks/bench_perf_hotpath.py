@@ -10,7 +10,8 @@ scheduler-pass telemetry for each size.  At full scale the sweep reaches
 Results are appended to ``BENCH_hotpath.json`` at the repo root as a
 *trajectory*: the checked-in file carries the pre-index baseline rows, the
 rows measured when the incremental cluster index landed, and the rows from
-the calendar-queue/incremental-backfill rework; each run of this benchmark
+the calendar-queue/incremental-backfill rework (the calendar queue has
+since been replaced by the engine's plain heap); each run of this benchmark
 replaces the ``latest`` (and ``fleet-latest``) entry, so regressions
 against the recorded trajectory are visible in the diff.
 

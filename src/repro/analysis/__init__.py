@@ -30,11 +30,13 @@ stores one lifecycle state, the controller checks every edge at runtime,
 and ``tests/test_controlplane.py`` pins that the edges runs take equal the
 table exactly.  Its id is not reused.
 
-Front doors: ``python -m repro.analysis [paths…]`` and ``tcloud lint``
-(both support the incremental cache: ``--jobs``, ``--cache-dir``,
-``--no-cache``, ``--changed``, ``--stats``).  Waivers: ``# simlint:
-disable=R3`` inline (see :mod:`repro.analysis.suppressions`) or the
-committed baseline (:mod:`repro.analysis.baseline`).  CI fails on any
+Front doors: ``python -m repro.analysis [paths…]`` and ``tcloud lint``.
+They, ``scripts/simlint_baseline.py`` and :func:`analyze_source` all run
+one serial pass, :func:`~repro.analysis.runner.analyze_sources`; a cold
+run over the whole repository takes about 3 s, and ``--stats`` splits it
+by rule.  Waivers: ``# simlint: disable=R3`` inline (see
+:mod:`repro.analysis.suppressions`) or the committed baseline
+(:mod:`repro.analysis.baseline`).  CI fails on any
 non-baselined finding and verifies the baseline itself with
 ``scripts/simlint_baseline.py --check``.
 """
@@ -42,18 +44,15 @@ non-baselined finding and verifies the baseline itself with
 from __future__ import annotations
 
 from .baseline import Baseline
-from .cache import LintCache, engine_fingerprint, file_key
 from .context import FileContext
 from .findings import Finding
 from .registry import BaseRule, ProjectRule, Rule, all_rules, rule_by_id
 from .runner import (
     AnalysisReport,
     LintStats,
-    analyze_contexts,
     analyze_paths,
     analyze_source,
-    git_changed_files,
-    run_lint,
+    analyze_sources,
 )
 
 __all__ = [
@@ -62,17 +61,12 @@ __all__ = [
     "BaseRule",
     "FileContext",
     "Finding",
-    "LintCache",
     "LintStats",
     "ProjectRule",
     "Rule",
     "all_rules",
-    "analyze_contexts",
     "analyze_paths",
     "analyze_source",
-    "engine_fingerprint",
-    "file_key",
-    "git_changed_files",
+    "analyze_sources",
     "rule_by_id",
-    "run_lint",
 ]

@@ -2,24 +2,22 @@
 
 Exit codes: 0 — no new findings; 1 — new (non-baselined) findings or
 malformed suppressions; 2 — usage/environment error.  ``tcloud lint``
-delegates here, so both front doors behave identically — including the
-incremental-cache flags (``--jobs``, ``--cache-dir``, ``--no-cache``,
-``--changed``, ``--stats``).
+delegates here, so both front doors behave identically.  Every run is a
+full serial pass over the given paths; ``--stats`` reports where its
+time went, rule by rule.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .baseline import Baseline
-from .cache import ENV_CACHE_DIR, LintCache, default_cache_dir
 from .registry import all_rules
-from .runner import AnalysisReport, git_changed_files, run_lint
+from .runner import AnalysisReport, analyze_paths
 
 DEFAULT_BASELINE = "simlint-baseline.json"
 
@@ -64,38 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze cache misses over N worker processes (default: 1)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "incremental cache directory (default: $"
-            f"{ENV_CACHE_DIR} or {default_cache_dir()})"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache (re-analyze every file)",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "only analyze files changed vs git HEAD (fast pre-commit check; "
-            "cross-file rules are authoritative only on full runs)"
-        ),
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
-        help="print per-rule timing and cache hit rate to stderr",
+        help="print per-rule check time and total wall time to stderr",
     )
     return parser
 
@@ -114,25 +83,12 @@ def _list_rules() -> str:
 def _render_stats(report: AnalysisReport) -> str:
     stats = report.stats
     lines = [
-        f"simlint stats: {stats.files} file(s), "
-        f"cache {stats.cache_hits} hit / {stats.cache_misses} miss "
-        f"({stats.hit_rate * 100.0:.1f}% hit rate), "
-        f"wall {stats.wall_seconds:.3f}s"
+        f"simlint stats: {report.files_analyzed} file(s), wall {stats.wall_seconds:.3f}s"
     ]
-    timed = sorted(
-        set(stats.check_seconds) | set(stats.reduce_seconds),
-        key=lambda rule_id: -(
-            stats.check_seconds.get(rule_id, 0.0)
-            + stats.reduce_seconds.get(rule_id, 0.0)
-        ),
-    )
-    for rule_id in timed:
-        check = stats.check_seconds.get(rule_id, 0.0)
-        reduce_s = stats.reduce_seconds.get(rule_id, 0.0)
-        lines.append(
-            f"  {rule_id:>4s}  check {check * 1000.0:8.1f}ms"
-            + (f"  reduce {reduce_s * 1000.0:8.1f}ms" if rule_id in stats.reduce_seconds else "")
-        )
+    for rule_id, seconds in sorted(
+        stats.check_seconds.items(), key=lambda item: -item[1]
+    ):
+        lines.append(f"  {rule_id:>4s}  check {seconds * 1000.0:8.1f}ms")
     return "\n".join(lines)
 
 
@@ -148,24 +104,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if baseline_path is None and Path(DEFAULT_BASELINE).exists():
         baseline_path = DEFAULT_BASELINE
 
-    cache: LintCache | None = None
-    if not args.no_cache:
-        root = Path(args.cache_dir) if args.cache_dir else None
-        cache = LintCache(root)
-
-    files = None
-    if args.changed:
-        try:
-            files = git_changed_files(args.paths)
-        except (OSError, subprocess.CalledProcessError) as exc:
-            sys.stderr.write(f"simlint: --changed requires a git checkout: {exc}\n")
-            return 2
-        if not files:
-            sys.stdout.write("simlint: no changed python files\n")
-            return 0
-
     try:
-        report = run_lint(args.paths, jobs=max(1, args.jobs), cache=cache, files=files)
+        report = analyze_paths(args.paths)
     except FileNotFoundError as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
@@ -196,10 +136,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             "rules": list(report.rules_run),
             "new": [finding.as_dict() for finding in new],
             "baselined": [finding.as_dict() for finding in baselined],
-            "cache": {
-                "hits": report.stats.cache_hits,
-                "misses": report.stats.cache_misses,
-            },
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:

@@ -53,15 +53,3 @@ class Finding:
             "message": self.message,
             "source_line": self.source_line,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, str | int]) -> "Finding":
-        """Inverse of :meth:`as_dict` (cache deserialisation)."""
-        return cls(
-            rule_id=str(data["rule"]),
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            message=str(data["message"]),
-            source_line=str(data.get("source_line", "")),
-        )

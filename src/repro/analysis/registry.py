@@ -7,7 +7,8 @@ shapes exist:
 * :class:`Rule` — pure per-file checks; ``check(ctx)`` yields findings for
   one :class:`~repro.analysis.context.FileContext`;
 * :class:`ProjectRule` — whole-project checks that need every file at once
-  (e.g. the event-priority table must cover subclasses defined anywhere).
+  (e.g. the event-priority table must cover subclasses defined anywhere);
+  ``check_project(contexts)`` yields findings over all of them.
 
 Each rule carries its id, a short name, the invariant's rationale (surfaced
 by ``--list-rules`` and the docs), and the path *scope* it applies to —
@@ -18,7 +19,7 @@ answers "where does this fire?".
 from __future__ import annotations
 
 import abc
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .context import FileContext
 from .findings import Finding
@@ -55,31 +56,14 @@ class Rule(BaseRule):
 class ProjectRule(BaseRule):
     """A rule that inspects every analyzed file together.
 
-    Project rules are written in map/reduce form so the incremental cache
-    can store their per-file work: :meth:`extract` distills one file into a
-    plain-data (JSON-serialisable) summary keyed by the file's content
-    hash, and :meth:`reduce` combines every summary into findings.  The
-    reduce step must be a pure function of the summaries — it reruns on
-    every lint invocation (cheap), while extract only runs on cache misses.
+    The runner calls :meth:`check_project` once per run with every parsed
+    in-scope file; its findings go through the same suppression filter
+    as per-file findings.
     """
 
     @abc.abstractmethod
-    def extract(self, ctx: FileContext) -> object | None:
-        """Distill one file into a plain-data summary (None = nothing)."""
-
-    @abc.abstractmethod
-    def reduce(self, summaries: Sequence[tuple[str, object]]) -> Iterator[Finding]:
-        """Combine ``(path, summary)`` pairs (path-sorted) into findings."""
-
-    def check_project(self, contexts: Iterable[FileContext]) -> Iterator[Finding]:
-        """Convenience: extract + reduce in one pass (uncached path)."""
-        pairs = [(ctx.path, self.extract(ctx)) for ctx in contexts]
-        yield from self.reduce(
-            sorted(
-                ((path, summary) for path, summary in pairs if summary is not None),
-                key=lambda pair: pair[0],
-            )
-        )
+    def check_project(self, contexts: Sequence[FileContext]) -> Iterator[Finding]:
+        """Yield findings over every in-scope file, given in path order."""
 
 
 _RULES: dict[str, BaseRule] = {}

@@ -5,9 +5,7 @@ event class missing from the ``PRIORITY`` table silently sorts last (rank
 99), which *works* until a second unranked type lands at the same instant
 and their relative order becomes an accident of scheduling call sites.
 This is a project rule: subclasses may be defined in any module, the table
-lives in ``sim/events.py``, and coverage is only checkable globally.  It
-is written in map/reduce form so the per-file class/table summaries ride
-the incremental cache.
+lives in ``sim/events.py``, and coverage is only checkable globally.
 """
 
 from __future__ import annotations
@@ -41,15 +39,6 @@ def _key_name(key: ast.expr | None) -> str | None:
     return None
 
 
-def _anchor(ctx: FileContext, node: ast.AST) -> dict[str, object]:
-    line = getattr(node, "lineno", 1)
-    return {
-        "line": line,
-        "col": getattr(node, "col_offset", 0),
-        "source_line": ctx.source_line(line),
-    }
-
-
 @register
 class EventPriorityRule(ProjectRule):
     """R4: Event subclasses must hold a unique rank in a PRIORITY table."""
@@ -62,59 +51,24 @@ class EventPriorityRule(ProjectRule):
         "rank gets an arbitrary tie order that golden tests cannot pin."
     )
 
-    def extract(self, ctx: FileContext) -> dict[str, object] | None:
-        classes: list[dict[str, object]] = []
-        tables: list[list[dict[str, object]]] = []
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                entry = _anchor(ctx, node)
-                entry["name"] = node.name
-                entry["bases"] = sorted(_base_names(node))
-                classes.append(entry)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                value = node.value
-                if not isinstance(value, ast.Dict):
-                    continue
-                if not any(
-                    isinstance(target, ast.Name) and target.id == _TABLE_NAME
-                    for target in targets
-                ):
-                    continue
-                entries: list[dict[str, object]] = []
-                for key, rank_node in zip(value.keys, value.values):
-                    name = _key_name(key)
-                    if name is None:
-                        continue
-                    entry = _anchor(ctx, rank_node)
-                    entry["name"] = name
-                    if isinstance(rank_node, ast.Constant) and isinstance(
-                        rank_node.value, int
-                    ):
-                        entry["rank"] = rank_node.value
-                    else:
-                        entry["rank"] = None  # non-literal rank: reported below
-                    entries.append(entry)
-                tables.append(entries)
-        if not classes and not tables:
-            return None
-        return {"classes": classes, "tables": tables}
-
-    def reduce(self, summaries: Sequence[tuple[str, object]]) -> Iterator[Finding]:
-        classes: list[tuple[str, dict[str, object]]] = []
+    def check_project(self, contexts: Sequence[FileContext]) -> Iterator[Finding]:
+        classes: list[tuple[FileContext, ast.ClassDef]] = []
         bases_of: dict[str, set[str]] = {}
-        tables: list[tuple[str, list[dict[str, object]]]] = []
-        for path, summary in summaries:
-            assert isinstance(summary, dict)
-            for entry in summary.get("classes", []):
-                classes.append((path, entry))
-                bases_of.setdefault(str(entry["name"]), set()).update(
-                    str(base) for base in entry["bases"]
-                )
-            for entries in summary.get("tables", []):
-                tables.append((path, entries))
+        tables: list[tuple[FileContext, ast.Dict]] = []
+        for ctx in contexts:
+            for node in ast.walk(ctx.tree):
+                if isinstance(node, ast.ClassDef):
+                    classes.append((ctx, node))
+                    bases_of.setdefault(node.name, set()).update(_base_names(node))
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = (
+                        node.targets if isinstance(node, ast.Assign) else [node.target]
+                    )
+                    if isinstance(node.value, ast.Dict) and any(
+                        isinstance(target, ast.Name) and target.id == _TABLE_NAME
+                        for target in targets
+                    ):
+                        tables.append((ctx, node.value))
 
         # Transitive closure: which class names descend from Event?
         event_classes = {_ROOT_CLASS}
@@ -127,24 +81,28 @@ class EventPriorityRule(ProjectRule):
                     changed = True
 
         ranked: dict[str, int] = {}
-        for path, entries in tables:
+        for ctx, table in tables:
             seen_ranks: dict[int, str] = {}
-            for entry in entries:
-                name = str(entry["name"])
-                rank = entry["rank"]
-                if rank is None:
-                    yield self._finding(
-                        path,
-                        entry,
+            for key, rank_node in zip(table.keys, table.values):
+                name = _key_name(key)
+                if name is None:
+                    continue
+                if not (
+                    isinstance(rank_node, ast.Constant)
+                    and isinstance(rank_node.value, int)
+                ):
+                    yield ctx.finding(
+                        self.id,
+                        rank_node,
                         f"PRIORITY rank of {name} must be an integer literal "
                         "(ranks are part of the simulation contract)",
                     )
                     continue
-                assert isinstance(rank, int)
+                rank = rank_node.value
                 if rank in seen_ranks:
-                    yield self._finding(
-                        path,
-                        entry,
+                    yield ctx.finding(
+                        self.id,
+                        rank_node,
                         f"duplicate PRIORITY rank {rank} for {name} (also held "
                         f"by {seen_ranks[rank]}); same-timestamp order between "
                         "them is undefined",
@@ -153,25 +111,14 @@ class EventPriorityRule(ProjectRule):
                     seen_ranks[rank] = name
                 ranked[name] = rank
 
-        for path, entry in classes:
-            name = str(entry["name"])
-            if name == _ROOT_CLASS or name not in event_classes:
+        for ctx, node in classes:
+            if node.name == _ROOT_CLASS or node.name not in event_classes:
                 continue
-            if name not in ranked:
-                yield self._finding(
-                    path,
-                    entry,
-                    f"event class {name} declares no PRIORITY rank; add it "
+            if node.name not in ranked:
+                yield ctx.finding(
+                    self.id,
+                    node,
+                    f"event class {node.name} declares no PRIORITY rank; add it "
                     "to the PRIORITY table with a unique integer so "
                     "same-timestamp dispatch order is explicit",
                 )
-
-    def _finding(self, path: str, anchor: dict[str, object], message: str) -> Finding:
-        return Finding(
-            rule_id=self.id,
-            path=path,
-            line=int(anchor["line"]),  # type: ignore[call-overload]
-            col=int(anchor["col"]),  # type: ignore[call-overload]
-            message=message,
-            source_line=str(anchor["source_line"]),
-        )

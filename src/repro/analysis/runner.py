@@ -6,36 +6,23 @@ The runner is the only component that touches the filesystem; rules see
 File order, finding order and report text are all deterministically sorted
 — the analyzer is held to the same reproducibility bar it enforces.
 
-Two execution paths share one per-file phase:
-
-* :func:`analyze_contexts` — in-process, uncached; what tests and
-  :func:`analyze_source` use;
-* :func:`run_lint` — the incremental path: per-file work (rule checks,
-  suppression parsing, project-rule ``extract`` summaries) is cached
-  on-disk keyed by file content + engine fingerprint
-  (:mod:`repro.analysis.cache`), misses optionally fan out over a spawn
-  process pool, and project rules re-``reduce`` from summaries every
-  run.  Findings are byte-identical across cold/warm runs and any
-  ``--jobs`` value: the merge sorts by path before reducing and by
-  ``sort_key`` before reporting, so scheduling order never shows.
+Every front door ends in :func:`analyze_sources`: one serial, uncached
+pass that builds the contexts, runs per-file and project rules, and
+filters inline suppressions.  A cold run over the whole repository takes
+about 3 s, so there is nothing to cache.
 """
 
 from __future__ import annotations
 
-import subprocess
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .baseline import Baseline
-from .cache import FileRecord, LintCache, engine_fingerprint, file_key
 from .context import FileContext
 from .findings import Finding
-from .registry import BaseRule, ProjectRule, Rule, all_rules
-from .suppressions import SuppressionMap
+from .registry import ProjectRule, Rule, all_rules
 
 #: Directory names never descended into.
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "node_modules"})
@@ -44,8 +31,6 @@ _SKIP_FRAGMENTS = ("tests/data/simlint",)
 #: Rule ids never subject to inline suppression (the diagnostics that
 #: report broken suppressions/files must not be suppressible themselves).
 _UNSUPPRESSABLE = frozenset({"S0", "P0"})
-
-_EMPTY_SUPPRESSIONS = SuppressionMap()
 
 
 def iter_python_files(paths: Sequence[str | Path]) -> list[Path]:
@@ -69,38 +54,6 @@ def iter_python_files(paths: Sequence[str | Path]) -> list[Path]:
     return sorted(collected)
 
 
-def git_changed_files(paths: Sequence[str | Path]) -> list[Path]:
-    """Analyzable ``.py`` files changed vs HEAD (tracked diff + untracked).
-
-    The fast pre-commit subset: project rules only see the changed files,
-    so cross-file checks (R4) are authoritative only on full runs.
-    """
-    changed: set[str] = set()
-    for command in (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        result = subprocess.run(
-            command, capture_output=True, text=True, check=True
-        )
-        changed.update(line.strip() for line in result.stdout.splitlines() if line.strip())
-    roots = [Path(raw).resolve() for raw in paths]
-    selected: set[Path] = set()
-    for name in changed:
-        candidate = Path(name)
-        if candidate.suffix != ".py" or not candidate.is_file():
-            continue
-        posix = candidate.as_posix()
-        if any(fragment in posix for fragment in _SKIP_FRAGMENTS):
-            continue
-        if set(candidate.parts) & _SKIP_DIRS:
-            continue
-        resolved = candidate.resolve()
-        if any(root == resolved or root in resolved.parents for root in roots):
-            selected.add(resolved)
-    return sorted(selected)
-
-
 def _display_path(path: Path) -> str:
     """Posix path relative to the working directory when possible."""
     try:
@@ -111,25 +64,14 @@ def _display_path(path: Path) -> str:
 
 @dataclass
 class LintStats:
-    """``--stats`` payload: cache behavior plus per-rule wall time."""
+    """``--stats`` payload: per-rule check time and total wall time."""
 
-    files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Seconds spent in per-file checks / extracts, by rule id (misses only).
+    #: Seconds spent in each rule's checks, by rule id.
     check_seconds: dict[str, float] = field(default_factory=dict)
-    #: Seconds spent in project-rule reduce steps, by rule id.
-    reduce_seconds: dict[str, float] = field(default_factory=dict)
     wall_seconds: float = 0.0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    def absorb_checks(self, timings: dict[str, float]) -> None:
-        for rule_id, seconds in timings.items():
-            self.check_seconds[rule_id] = self.check_seconds.get(rule_id, 0.0) + seconds
+    def charge(self, rule_id: str, seconds: float) -> None:
+        self.check_seconds[rule_id] = self.check_seconds.get(rule_id, 0.0) + seconds
 
 
 @dataclass
@@ -147,214 +89,89 @@ class AnalysisReport:
         return baseline.split(self.findings)
 
 
-# -- the shared per-file phase -------------------------------------------------
-
-
-def compute_file_record(
-    ctx: FileContext, rules: Sequence[BaseRule]
-) -> tuple[FileRecord, dict[str, float]]:
-    """Run every per-file check and project extract over one context."""
-    findings: list[Finding] = list(ctx.suppressions.errors)
-    summaries: dict[str, object] = {}
-    timings: dict[str, float] = {}
-    for rule in rules:
-        if not rule.applies_to(ctx):
-            continue
-        started = time.perf_counter()
-        if isinstance(rule, Rule):
-            findings.extend(rule.check(ctx))
-        elif isinstance(rule, ProjectRule):
-            summary = rule.extract(ctx)
-            if summary is not None:
-                summaries[rule.id] = summary
-        timings[rule.id] = timings.get(rule.id, 0.0) + time.perf_counter() - started
-    return (
-        FileRecord(
-            path=ctx.path,
-            findings=findings,
-            suppressions=ctx.suppressions,
-            summaries=summaries,
-        ),
-        timings,
-    )
-
-
-def _parse_error_record(display: str, exc: SyntaxError) -> FileRecord:
-    return FileRecord(
-        path=display,
-        findings=[
-            Finding(
-                rule_id="P0",
-                path=display,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                message=f"file does not parse: {exc.msg}",
-            )
-        ],
-    )
-
-
-def _analyze_bytes(
-    data: bytes, display: str, rules: Sequence[BaseRule]
-) -> tuple[FileRecord, dict[str, float]]:
+def _parse(path: str, data: bytes) -> FileContext | Finding:
+    """Build one file's context, or the P0 finding saying why it cannot be."""
     try:
-        ctx = FileContext.from_source(data.decode("utf-8"), display)
+        source = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        return Finding(
+            rule_id="P0",
+            path=path,
+            line=data.count(b"\n", 0, exc.start) + 1,
+            col=exc.start - line_start,
+            message="file is not valid UTF-8",
+        )
+    try:
+        return FileContext.from_source(source, path)
     except SyntaxError as exc:
-        return _parse_error_record(display, exc), {}
-    return compute_file_record(ctx, rules)
+        return Finding(
+            rule_id="P0",
+            path=path,
+            line=exc.lineno or 1,
+            col=(exc.offset or 1) - 1,
+            message=f"file does not parse: {exc.msg}",
+        )
 
 
-def _worker_analyze(display: str, data: bytes) -> dict[str, object]:
-    """Process-pool entry point; returns plain data only (picklable)."""
-    record, timings = _analyze_bytes(data, display, all_rules())
-    return {"record": record.as_dict(), "timings": timings}
+def analyze_sources(sources: Sequence[tuple[str, bytes]]) -> AnalysisReport:
+    """Run every rule over ``(display path, file bytes)`` pairs.
 
-
-# -- merge ---------------------------------------------------------------------
-
-
-def _merge_records(
-    records: Sequence[FileRecord],
-    rules: Sequence[BaseRule],
-    stats: LintStats,
-) -> list[Finding]:
-    """Combine per-file records into the final sorted finding list."""
-    ordered = sorted(records, key=lambda record: record.path)
-    suppressions_of = {record.path: record.suppressions for record in ordered}
+    Files are visited in path order; each contributes its malformed
+    suppression directives and per-file rule findings, then every project
+    rule sees all parsed files at once.  Suppressions are filtered last,
+    and the result is sorted by location.
+    """
+    started = time.perf_counter()
+    rules = all_rules()
+    stats = LintStats()
     findings: list[Finding] = []
-    for record in ordered:
-        findings.extend(record.findings)
-    for rule in rules:
-        if not isinstance(rule, ProjectRule):
+    contexts: list[FileContext] = []
+    for path, data in sorted(sources, key=lambda pair: pair[0]):
+        parsed = _parse(path, data)
+        if isinstance(parsed, Finding):
+            findings.append(parsed)
             continue
-        pairs = sorted(
-            (record.path, record.summaries[rule.id])
-            for record in ordered
-            if rule.id in record.summaries
-        )
-        started = time.perf_counter()
-        findings.extend(rule.reduce(pairs))
-        stats.reduce_seconds[rule.id] = (
-            stats.reduce_seconds.get(rule.id, 0.0) + time.perf_counter() - started
-        )
+        contexts.append(parsed)
+        findings.extend(parsed.suppressions.errors)
+        for rule in rules:
+            if isinstance(rule, Rule) and rule.applies_to(parsed):
+                rule_started = time.perf_counter()
+                findings.extend(rule.check(parsed))
+                stats.charge(rule.id, time.perf_counter() - rule_started)
+    for rule in rules:
+        if isinstance(rule, ProjectRule):
+            rule_started = time.perf_counter()
+            findings.extend(
+                rule.check_project([ctx for ctx in contexts if rule.applies_to(ctx)])
+            )
+            stats.charge(rule.id, time.perf_counter() - rule_started)
+
+    suppressions_of = {ctx.path: ctx.suppressions for ctx in contexts}
     kept = [
         finding
         for finding in findings
         if finding.rule_id in _UNSUPPRESSABLE
-        or not suppressions_of.get(finding.path, _EMPTY_SUPPRESSIONS).is_suppressed(
-            finding.rule_id, finding.line
-        )
+        or finding.path not in suppressions_of
+        or not suppressions_of[finding.path].is_suppressed(finding.rule_id, finding.line)
     ]
     kept.sort(key=lambda finding: finding.sort_key)
-    return kept
-
-
-# -- in-process path (tests, analyze_source) -----------------------------------
-
-
-def analyze_contexts(
-    contexts: Sequence[FileContext], rules: Iterable[BaseRule] | None = None
-) -> AnalysisReport:
-    """Run every rule over already-built contexts (uncached)."""
-    active = tuple(rules) if rules is not None else all_rules()
-    stats = LintStats(files=len(contexts), cache_misses=len(contexts))
-    records = []
-    for ctx in contexts:
-        record, timings = compute_file_record(ctx, active)
-        records.append(record)
-        stats.absorb_checks(timings)
+    stats.wall_seconds = time.perf_counter() - started
     return AnalysisReport(
-        findings=_merge_records(records, active, stats),
-        files_analyzed=len(contexts),
-        rules_run=tuple(rule.id for rule in active),
+        findings=kept,
+        files_analyzed=len(sources),
+        rules_run=tuple(rule.id for rule in rules),
         stats=stats,
     )
 
 
 def analyze_source(source: str, path: str) -> list[Finding]:
     """Analyze one in-memory source under a virtual *path* (test helper)."""
-    return analyze_contexts([FileContext.from_source(source, path)]).findings
-
-
-# -- cached / parallel path ----------------------------------------------------
-
-
-def run_lint(
-    paths: Sequence[str | Path],
-    *,
-    jobs: int = 1,
-    cache: LintCache | None = None,
-    files: Sequence[Path] | None = None,
-) -> AnalysisReport:
-    """The incremental analyzer: cache lookups, pooled misses, one merge.
-
-    ``files`` overrides discovery (the ``--changed`` subset); otherwise
-    every analyzable file under *paths* is considered, so cross-file
-    rules see the whole project.
-    """
-    started = time.perf_counter()
-    rules = all_rules()
-    targets = list(files) if files is not None else iter_python_files(paths)
-    stats = LintStats(files=len(targets))
-    engine = engine_fingerprint() if cache is not None else ""
-
-    records: dict[str, FileRecord] = {}
-    misses: list[tuple[str, str, bytes]] = []  # (display, key, data)
-    for target in targets:
-        display = _display_path(target)
-        data = target.read_bytes()
-        if cache is None:
-            misses.append((display, "", data))
-            continue
-        key = file_key(display, data, engine)
-        cached = cache.get(key)
-        if cached is not None and cached.path == display:
-            records[display] = cached
-        else:
-            misses.append((display, key, data))
-    if cache is not None:
-        stats.cache_hits = len(records)
-    stats.cache_misses = len(misses)
-
-    if misses and jobs > 1 and len(misses) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(misses)), mp_context=get_context("spawn")
-        ) as pool:
-            futures = {
-                display: pool.submit(_worker_analyze, display, data)
-                for display, _key, data in misses
-            }
-            fresh = {
-                display: futures[display].result() for display, _key, _data in misses
-            }
-        for display, key, _data in misses:
-            payload = fresh[display]
-            record_raw = payload["record"]
-            timings = payload["timings"]
-            assert isinstance(record_raw, dict) and isinstance(timings, dict)
-            record = FileRecord.from_dict(record_raw)
-            records[display] = record
-            stats.absorb_checks(timings)
-            if cache is not None:
-                cache.put(key, record)
-    else:
-        for display, key, data in misses:
-            record, timings = _analyze_bytes(data, display, rules)
-            records[display] = record
-            stats.absorb_checks(timings)
-            if cache is not None:
-                cache.put(key, record)
-
-    findings = _merge_records(list(records.values()), rules, stats)
-    stats.wall_seconds = time.perf_counter() - started
-    return AnalysisReport(
-        findings=findings,
-        files_analyzed=len(targets),
-        rules_run=tuple(rule.id for rule in rules),
-        stats=stats,
-    )
+    return analyze_sources([(path, source.encode("utf-8"))]).findings
 
 
 def analyze_paths(paths: Sequence[str | Path]) -> AnalysisReport:
-    """Analyze every Python file reachable from *paths* (uncached)."""
-    return run_lint(paths, jobs=1, cache=None)
+    """Analyze every Python file reachable from *paths*."""
+    return analyze_sources(
+        [(_display_path(target), target.read_bytes()) for target in iter_python_files(paths)]
+    )

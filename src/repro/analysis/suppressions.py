@@ -52,24 +52,6 @@ class SuppressionMap:
             return False
         return rule_id in rules or "all" in rules
 
-    def as_dict(self) -> dict[str, object]:
-        """Plain-data form for the incremental cache (errors excluded —
-        they are cached as findings alongside the rest of the file's)."""
-        return {
-            "by_line": {str(line): sorted(rules) for line, rules in self.by_line.items()},
-            "file_wide": sorted(self.file_wide),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "SuppressionMap":
-        by_line_raw = data.get("by_line", {})
-        file_wide_raw = data.get("file_wide", [])
-        assert isinstance(by_line_raw, dict) and isinstance(file_wide_raw, list)
-        return cls(
-            by_line={int(line): set(rules) for line, rules in by_line_raw.items()},
-            file_wide=set(file_wide_raw),
-        )
-
 
 def parse_suppressions(source: str, path: str) -> SuppressionMap:
     """Extract every ``# simlint:`` directive from *source*."""

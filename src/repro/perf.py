@@ -47,8 +47,7 @@ class PerfCounters:
         events_enqueued: Events pushed onto the simulation event queue.
         events_dequeued: Events popped and dispatched.
         peak_pending_events: High-water mark of the pending event count —
-            for an up-front trace load this is roughly the trace size, the
-            regime the calendar queue is built for.
+            for an up-front trace load this is roughly the trace size.
     """
 
     scheduler_passes: int = 0

@@ -6,24 +6,20 @@ events in ``(time, priority, sequence)`` order and dispatches.  Determinism
 is a hard requirement (the test suite asserts byte-identical reruns), hence
 the explicit sequence-number tiebreak instead of relying on queue stability.
 
-The queue itself is a bucketed :class:`~repro.sim.eventq.CalendarEventQueue`
-— fleet-scale traces push millions of arrivals up front, and the calendar's
-O(1) appends with one lazy sort per time bucket beat a flat heap's per-push
-sift at that volume.  The ordering contract is unchanged from the original
-``heapq`` implementation and is pinned by a property test against the
-reference :class:`~repro.sim.eventq.HeapEventQueue`
-(``tests/test_eventq.py``).
+The queue is a plain ``heapq`` list of ``(time, priority, sequence, event)``
+entries: sequence numbers are unique, so the heap order is total and the
+event payload is never compared.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, TypeVar, cast
 
 from ..errors import EventOrderError, SimulationError
 from .events import Event, priority_of
-from .eventq import CalendarEventQueue, EventQueue, HeapEventQueue
 
-__all__ = ["SimulationEngine", "CalendarEventQueue", "HeapEventQueue"]
+__all__ = ["SimulationEngine"]
 
 Handler = Callable[[float, Event], None]
 
@@ -41,10 +37,10 @@ class SimulationEngine:
         engine.run()
     """
 
-    def __init__(self, queue: EventQueue | None = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self.events_processed: int = 0
-        self._queue: EventQueue = queue if queue is not None else CalendarEventQueue()
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
         self._handlers: dict[type[Event], Handler] = {}
         self._stopped = False
@@ -73,7 +69,9 @@ class SimulationEngine:
             raise EventOrderError(
                 f"cannot schedule {type(event).__name__} at {time}; clock is at {self.now}"
             )
-        self._queue.push((max(time, self.now), priority_of(event), self._sequence, event))
+        heapq.heappush(
+            self._queue, (max(time, self.now), priority_of(event), self._sequence, event)
+        )
         self._sequence += 1
         self.events_enqueued += 1
         pending = len(self._queue)
@@ -96,8 +94,7 @@ class SimulationEngine:
 
     def peek_time(self) -> float | None:
         """Timestamp of the next event, or ``None`` when the queue is empty."""
-        head = self._queue.peek()
-        return head[0] if head is not None else None
+        return self._queue[0][0] if self._queue else None
 
     def has_pending(self, event_type: type[Event]) -> bool:
         """True when any queued event is an instance of *event_type*."""
@@ -116,7 +113,7 @@ class SimulationEngine:
         """Dispatch one event; returns it, or ``None`` when the queue is empty."""
         if not self._queue:
             return None
-        time, _priority, _sequence, event = self._queue.pop()
+        time, _priority, _sequence, event = heapq.heappop(self._queue)
         self._pending_counts[type(event)] -= 1
         if time < self.now - 1e-9:
             raise EventOrderError(

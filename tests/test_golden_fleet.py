@@ -1,11 +1,11 @@
 """Fleet-scale golden: a 32k-GPU run is bit-stable across perf refactors.
 
 The other golden suites pin campus-sized runs; this one pins the fleet
-regime the calendar queue, blocked-verdict cache, release ledger, and
+regime the blocked-verdict cache, release ledger, and
 array-mirror scans were built for — 4096 nodes (32768 GPUs) under a
 vectorized fleet trace.  A short horizon keeps it tier-1 fast while still
 exercising every fleet path: ``FleetTraceSynthesizer`` arrays, the
-calendar queue with tens of thousands of pending events, incremental
+event heap with tens of thousands of pending events, incremental
 backfill reservations, and the numpy candidate masks at a node count
 where a Python scan would dominate.
 
@@ -73,7 +73,7 @@ def test_fleet_run_used_the_hot_path(fleet_result):
     """The golden run must actually exercise the fleet machinery."""
     perf = fleet_result.perf
     assert fleet_result.events_processed > 5_000
-    assert perf.peak_pending_events > 1_000  # calendar queue under real load
+    assert perf.peak_pending_events > 1_000  # event heap under real load
     assert perf.events_dequeued == fleet_result.events_processed
     # record_transitions=False drops records but keeps aggregates exact.
     assert fleet_result.transitions == []

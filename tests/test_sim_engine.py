@@ -189,3 +189,19 @@ def test_dispatch_order_is_sorted_for_any_schedule(times):
     engine.run()
     assert seen == sorted(times)
     assert len(seen) == len(times)
+
+
+def test_engine_queue_telemetry():
+    engine = SimulationEngine()
+    engine.register(JobArrival, lambda now, event: None)
+    engine.register(SchedulerTick, lambda now, event: None)
+    for index in range(10):
+        engine.schedule_at(float(index), JobArrival(f"job-{index:06d}"))
+    assert engine.peak_pending == 10
+    engine.run(until=4.0)
+    engine.schedule_at(5.0, SchedulerTick())
+    engine.run()
+    assert engine.events_enqueued == 11
+    assert engine.events_processed == 11
+    assert engine.peak_pending == 10
+    assert not engine.has_pending(MetricsSample)

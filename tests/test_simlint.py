@@ -9,20 +9,17 @@ explicitly skips them during real scans — verified below).
 from __future__ import annotations
 
 import json
-import subprocess
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
     Baseline,
-    LintCache,
     all_rules,
     analyze_paths,
     analyze_source,
-    file_key,
     rule_by_id,
-    run_lint,
 )
 from repro.analysis.__main__ import main as simlint_main
 from repro.tcloud.cli import main as tcloud_main
@@ -214,173 +211,45 @@ class TestTaintDataflow:
         assert analyze_source(source, self.SIM) == []
 
 
-class TestLintCache:
-    """The incremental runner: invalidation, determinism, speedup."""
+@pytest.fixture
+def tree(tmp_path: Path) -> Path:
+    """A small package tree with one per-file (R2) and one project (R4) finding."""
+    pkg = tmp_path / "tree" / "repro" / "sim"
+    pkg.mkdir(parents=True)
+    (pkg / "clean.py").write_text("x = 1\n")
+    (pkg / "clock.py").write_text("import time\nt = time.time()\n")
+    (pkg / "ticks.py").write_text("class Event:\n    pass\n\nclass Tick(Event):\n    pass\n")
+    return tmp_path / "tree"
 
-    def _tree(self, tmp_path: Path) -> Path:
-        pkg = tmp_path / "tree" / "repro" / "sim"
-        pkg.mkdir(parents=True)
-        (pkg / "clean.py").write_text("x = 1\n")
-        (pkg / "clock.py").write_text("import time\nt = time.time()\n")
-        return tmp_path / "tree"
 
-    @staticmethod
-    def _rendered(report) -> str:
-        return json.dumps([f.as_dict() for f in report.findings], sort_keys=True)
+def _rendered(report) -> str:
+    return json.dumps([f.as_dict() for f in report.findings], sort_keys=True)
 
-    def test_file_key_is_sensitive_to_path_bytes_and_engine(self):
-        base = file_key("a.py", b"x = 1\n", "e1")
-        assert file_key("a.py", b"x = 2\n", "e1") != base
-        assert file_key("b.py", b"x = 1\n", "e1") != base
-        assert file_key("a.py", b"x = 1\n", "e2") != base
 
-    def test_warm_run_hits_and_edit_invalidates_one_file(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cache = LintCache(tmp_path / "cache")
-        cold = run_lint([tree], cache=cache)
-        assert (cold.stats.cache_hits, cold.stats.cache_misses) == (0, 2)
-        warm = run_lint([tree], cache=cache)
-        assert (warm.stats.cache_hits, warm.stats.cache_misses) == (2, 0)
-        assert self._rendered(warm) == self._rendered(cold)
-        (tree / "repro" / "sim" / "clean.py").write_text(
-            "import random\nr = random.random()\n"
+class TestRunner:
+    """The one serial runner: deterministic output, suppression filtering."""
+
+    @pytest.mark.parametrize("shape", ["rerun", "reordered", "duplicated"])
+    def test_findings_are_byte_identical(self, tree, shape):
+        sim = tree / "repro" / "sim"
+        reference = analyze_paths([tree])
+        assert {f.rule_id for f in reference.findings} == {"R2", "R4"}
+        paths = {
+            "rerun": [tree],
+            "reordered": sorted(sim.iterdir(), reverse=True),
+            "duplicated": [tree, sim, sim / "clock.py", tree],
+        }[shape]
+        report = analyze_paths(paths)
+        assert report.files_analyzed == 3
+        assert _rendered(report) == _rendered(reference)
+
+    def test_suppressions_filter_project_rule_findings(self, tree):
+        sim = tree / "repro" / "sim"
+        (sim / "clock.py").write_text("import time\nt = time.time()  # simlint: disable=R2\n")
+        (sim / "ticks.py").write_text(
+            "class Event:\n    pass\n\nclass Tick(Event):  # simlint: disable=R4\n    pass\n"
         )
-        edited = run_lint([tree], cache=cache)
-        assert (edited.stats.cache_hits, edited.stats.cache_misses) == (1, 1)
-        assert {f.rule_id for f in edited.findings} == {"R1", "R2"}
-
-    def test_suppressions_filter_cached_records_at_merge_time(self, tmp_path):
-        tree = self._tree(tmp_path)
-        (tree / "repro" / "sim" / "clock.py").write_text(
-            "import time\nt = time.time()  # simlint: disable=R2\n"
-        )
-        cache = LintCache(tmp_path / "cache")
-        assert run_lint([tree], cache=cache).findings == []
-        warm = run_lint([tree], cache=cache)
-        assert warm.findings == []
-        assert warm.stats.cache_hits == 2
-
-    def test_findings_identical_across_cache_state_and_jobs(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cache = LintCache(tmp_path / "cache")
-        cold_parallel = run_lint([tree], jobs=4, cache=cache)
-        warm_serial = run_lint([tree], jobs=1, cache=cache)
-        uncached = run_lint([tree], jobs=1, cache=None)
-        assert warm_serial.stats.cache_hits == 2
-        assert (
-            self._rendered(cold_parallel)
-            == self._rendered(warm_serial)
-            == self._rendered(uncached)
-        )
-
-    def test_warm_run_is_at_most_a_quarter_of_cold(self, tmp_path):
-        pkg = tmp_path / "tree" / "repro" / "sim"
-        pkg.mkdir(parents=True)
-        body = "\n\n".join(
-            f"def f{i}(xs):\n"
-            f"    ys = [x + {i} for x in xs]\n"
-            f"    return len(ys)"
-            for i in range(40)
-        )
-        for index in range(30):
-            (pkg / f"mod{index}.py").write_text(body + "\n")
-        cache = LintCache(tmp_path / "cache")
-        cold = run_lint([tmp_path / "tree"], cache=cache)
-        warm = run_lint([tmp_path / "tree"], cache=cache)
-        assert cold.findings == warm.findings == []
-        assert warm.stats.cache_hits == 30
-        assert warm.stats.wall_seconds <= 0.25 * cold.stats.wall_seconds, (
-            f"warm {warm.stats.wall_seconds:.3f}s vs "
-            f"cold {cold.stats.wall_seconds:.3f}s"
-        )
-
-
-class TestIncrementalCli:
-    """The new front-door flags: --stats, --changed, cache counters."""
-
-    def _write_violation(self, tmp_path: Path) -> Path:
-        pkg = tmp_path / "repro" / "sim"
-        pkg.mkdir(parents=True)
-        target = pkg / "clock.py"
-        target.write_text("import time\nt = time.time()\n")
-        return target
-
-    def test_stats_report_cache_hits_on_the_warm_run(self, tmp_path, capsys):
-        self._write_violation(tmp_path)
-        argv = [
-            str(tmp_path),
-            "--no-baseline",
-            "--stats",
-            "--cache-dir",
-            str(tmp_path / "cache"),
-        ]
-        assert simlint_main(argv) == 1
-        err = capsys.readouterr().err
-        assert "simlint stats:" in err
-        assert "0 hit / 1 miss" in err
-        assert simlint_main(argv) == 1
-        err = capsys.readouterr().err
-        assert "1 hit / 0 miss" in err
-        assert "(100.0% hit rate)" in err
-
-    def test_json_format_reports_cache_counters(self, tmp_path, capsys):
-        self._write_violation(tmp_path)
-        assert (
-            simlint_main(
-                [
-                    str(tmp_path),
-                    "--no-baseline",
-                    "--format",
-                    "json",
-                    "--cache-dir",
-                    str(tmp_path / "cache"),
-                ]
-            )
-            == 1
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["cache"] == {"hits": 0, "misses": 1}
-
-    def test_changed_analyzes_only_the_git_diff(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        git = ["git", "-c", "user.email=ci@example.invalid", "-c", "user.name=ci"]
-        subprocess.run(["git", "init", "-q"], check=True)
-        pkg = tmp_path / "repro" / "sim"
-        pkg.mkdir(parents=True)
-        (pkg / "ok.py").write_text("x = 1\n")
-        subprocess.run(["git", "add", "."], check=True)
-        subprocess.run(git + ["commit", "-qm", "seed"], check=True)
-
-        argv = [".", "--changed", "--no-baseline", "--no-cache"]
-        assert simlint_main(argv) == 0
-        assert "no changed python files" in capsys.readouterr().out
-
-        (pkg / "clock.py").write_text("import time\nt = time.time()\n")
-        assert simlint_main(argv) == 1
-        out = capsys.readouterr().out
-        assert "R2" in out and "clock.py" in out
-        assert "1 file(s)" in out  # the committed-clean ok.py was skipped
-
-    def test_tcloud_lint_mirrors_the_new_flags(self, tmp_path, capsys):
-        self._write_violation(tmp_path)
-        assert (
-            tcloud_main(
-                [
-                    "lint",
-                    str(tmp_path),
-                    "--no-baseline",
-                    "--stats",
-                    "--jobs",
-                    "2",
-                    "--cache-dir",
-                    str(tmp_path / "cache"),
-                ]
-            )
-            == 1
-        )
-        captured = capsys.readouterr()
-        assert "R2" in captured.out
-        assert "simlint stats:" in captured.err
+        assert analyze_paths([tree]).findings == []
 
 
 class TestSuppressions:
@@ -523,6 +392,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["new"] and payload["new"][0]["rule"] == "R2"
         assert len(payload["rules"]) >= 8
+        assert "cache" not in payload
 
     def test_list_rules(self, capsys):
         assert simlint_main(["--list-rules"]) == 0
@@ -534,6 +404,27 @@ class TestCli:
         (tmp_path / "broken.py").write_text("def f(:\n")
         assert simlint_main([str(tmp_path), "--no-baseline"]) == 1
         assert "P0" in capsys.readouterr().out
+
+    def test_non_utf8_file_is_a_p0_finding(self, tmp_path, capsys):
+        (tmp_path / "latin1.py").write_bytes(b'x = "\xff"\n')
+        assert simlint_main([str(tmp_path), "--no-baseline"]) == 1
+        assert "latin1.py:1:6: P0 file is not valid UTF-8" in capsys.readouterr().out
+
+    def test_stats_report_per_rule_times(self, tmp_path, capsys):
+        self._write_violation(tmp_path)
+        assert simlint_main([str(tmp_path), "--no-baseline", "--stats"]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^simlint stats: 1 file\(s\), wall \d+\.\d{3}s$", err, re.M)
+        timed = re.findall(r"^ +(R\d+)  check +\d+\.\dms$", err, re.M)
+        assert {"R2", "R4"} <= set(timed)
+        assert len(timed) == len(set(timed))
+
+    def test_tcloud_lint_passes_stats_through(self, tmp_path, capsys):
+        self._write_violation(tmp_path)
+        assert tcloud_main(["lint", str(tmp_path), "--no-baseline", "--stats"]) == 1
+        captured = capsys.readouterr()
+        assert "R2" in captured.out
+        assert "simlint stats:" in captured.err
 
     def test_tcloud_lint_delegates(self, tmp_path, capsys):
         self._write_violation(tmp_path)
