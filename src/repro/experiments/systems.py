@@ -208,7 +208,6 @@ def run_f10_scalability(seed: int, scale: float) -> ExperimentResult:
                 "sim_days_per_wall_s": (result.end_time / 86400.0) / max(elapsed, 1e-9),
                 "placement_attempts": int(result.perf["placement_attempts"]),
                 "nodes_per_attempt": round(result.perf["nodes_per_attempt"], 3),
-                "sched_pass_wall_s": round(result.perf["sched_pass_wall_s"], 6),
             }
         )
         series["events_per_s"].append((gpus, events_per_s))

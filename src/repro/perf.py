@@ -3,14 +3,10 @@
 :class:`PerfCounters` is a plain mutable struct threaded through the layers
 that do per-event work — the cluster index counts nodes examined per
 candidate scan, the scheduler framework counts placement attempts, and the
-simulator accumulates scheduler-pass wall time.  The counters are
-*observational only*: nothing in the simulation reads them back, so they
-cannot perturb determinism (wall-clock time in particular never feeds a
-scheduling decision).
-
-``benchmarks/bench_perf_hotpath.py`` snapshots these counters per run to
-track the per-event cost of the scheduler loop as the cluster grows — the
-F10 scalability story — and writes the trajectory to ``BENCH_hotpath.json``.
+engine counts events.  Every counter is a deterministic work count, so
+tests can pin them, and nothing in the simulation reads them back.  Host
+time is measured outside ``src/``: ``perfbench/run.py --trace 1`` charges
+wall time exclusively to each layer (``sched.self_s`` for the scheduler).
 """
 
 from __future__ import annotations
@@ -24,8 +20,6 @@ class PerfCounters:
 
     Attributes:
         scheduler_passes: Number of scheduling passes executed.
-        sched_pass_wall_s: Total wall-clock seconds spent inside passes
-            (measurement only — never fed back into the simulation).
         placement_attempts: Placement attempts made by schedulers
             (``Scheduler.try_place`` calls, whether answered by the
             placement policy or short-circuited by the blocked cache).
@@ -51,7 +45,6 @@ class PerfCounters:
     """
 
     scheduler_passes: int = 0
-    sched_pass_wall_s: float = 0.0
     placement_attempts: int = 0
     candidate_scans: int = 0
     nodes_examined: int = 0
@@ -80,7 +73,6 @@ class PerfCounters:
         """Flat snapshot for JSON export."""
         return {
             "scheduler_passes": float(self.scheduler_passes),
-            "sched_pass_wall_s": self.sched_pass_wall_s,
             "placement_attempts": float(self.placement_attempts),
             "candidate_scans": float(self.candidate_scans),
             "nodes_examined": float(self.nodes_examined),

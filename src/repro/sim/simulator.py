@@ -23,7 +23,6 @@ plan.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -411,11 +410,7 @@ class ClusterSimulator:
             start_job=lambda job, placement: self._start_job(now, job, placement),
             preempt_job=lambda job: self._preempt_job(now, job),
         )
-        # Observational-only timing: PerfCounters are excluded from summaries
-        # and never feed a simulated decision (see repro/perf.py).
-        started = _time.perf_counter()  # simlint: disable=R2
         self.scheduler.schedule(ctx)
-        self.perf.sched_pass_wall_s += _time.perf_counter() - started  # simlint: disable=R2
         self.perf.scheduler_passes += 1
         self.metrics.scheduler_passes += 1
         fraction = self.config.debug_invariants

@@ -2,20 +2,14 @@
 
 ``tcloud`` can target different cluster instances of the platform by
 changing one configuration line; this module automates the choice.  A
-:class:`FederatedClient` holds one client per profile and routes each
-submission by a pluggable policy:
-
-* ``least-queued`` — the cluster whose pending queue is shallowest
-  relative to its size (the default; what users do by hand);
-* ``most-free`` — the cluster with the most free GPUs right now;
-* ``first-feasible`` — the first cluster (in profile order) whose
-  hardware can satisfy the request at all — useful when only one site
-  has A100s.
-
-Infeasible clusters (validation fails: missing GPU type, oversized
-request) are always excluded before the policy ranks the rest.  The
-router remembers where each job landed, so ``status``/``logs``/``wait``
-proxy transparently.
+:class:`FederatedClient` holds one client per profile.  Clusters whose
+validation fails (missing GPU type, oversized request) are excluded; a
+policy from :data:`repro.federation.routing.ROUTING_POLICIES`, the
+federated simulator's registry (``least-queued`` by default), ranks the
+rest by their frontends' live simulators and the job
+:func:`~repro.tcloud.frontend.build_job` makes from the spec.  Ties break
+by profile order.  The router remembers where each job landed, so
+``status``/``logs``/``wait`` proxy transparently.
 """
 
 from __future__ import annotations
@@ -24,14 +18,14 @@ from dataclasses import dataclass
 
 from ..controlplane.lifecycle import Transition
 from ..errors import ConfigError, SchemaError, SimulationError
+from ..federation.federation import FederationSite
+from ..federation.routing import ROUTING_POLICIES
 from ..ids import JobId
 from ..schema.taskspec import TaskSpec
 from ..schema.validate import validate_spec
 from .client import TcloudClient
 from .config import TcloudConfig
-from .frontend import JobStatus
-
-ROUTING_POLICIES = ("least-queued", "most-free", "first-feasible")
+from .frontend import JobStatus, build_job
 
 
 @dataclass(frozen=True)
@@ -64,11 +58,13 @@ class FederatedClient:
         """
         if policy not in ROUTING_POLICIES:
             raise ConfigError(
-                f"unknown routing policy {policy!r}; known: {list(ROUTING_POLICIES)}"
+                f"unknown routing policy {policy!r}; known: {sorted(ROUTING_POLICIES)}"
             )
-        names = profiles or sorted(config.profiles)
+        names = sorted(config.profiles) if profiles is None else list(profiles)
         if not names:
             raise ConfigError("federation needs at least one profile")
+        if len(set(names)) != len(names):
+            raise ConfigError(f"federation lists a profile more than once: {names}")
         self.policy = policy
         frontends = frontends or {}
         self.clients: dict[str, TcloudClient] = {
@@ -79,51 +75,35 @@ class FederatedClient:
 
     # -- routing -----------------------------------------------------------------
 
-    def _feasible(self, spec: TaskSpec) -> tuple[list[str], list[str]]:
-        feasible, excluded = [], []
+    def route(self, spec: TaskSpec) -> RoutingDecision:
+        """Pick the destination cluster for *spec* without submitting."""
+        considered, excluded = [], []
         for name, client in self.clients.items():
             issues = validate_spec(spec, client.frontend.cluster)
             if any(issue.severity == "error" for issue in issues):
                 excluded.append(name)
             else:
-                feasible.append(name)
-        return feasible, excluded
-
-    def route(self, spec: TaskSpec) -> RoutingDecision:
-        """Pick the destination cluster for *spec* without submitting."""
-        feasible, excluded = self._feasible(spec)
-        if not feasible:
+                considered.append(name)
+        sites = [FederationSite(name, self.clients[name].frontend.sim) for name in considered]
+        chosen = None
+        if sites:
+            # The chosen site mints the real job id on submit.
+            job = build_job(spec, job_id="route-probe", submit_time=0.0)
+            chosen = ROUTING_POLICIES[self.policy](sites, job)
+        if chosen is None:
             raise SchemaError(
                 f"task {spec.name!r} is infeasible on every federated cluster "
                 f"({sorted(self.clients)})"
             )
-        # Ties break by profile order (the order clients were declared),
-        # never by name sort — so routing is deterministic and matches the
-        # "first feasible" intuition across all policies.
-        order = {name: index for index, name in enumerate(self.clients)}
-        if self.policy == "first-feasible":
-            chosen, reason = feasible[0], "first feasible in profile order"
-        elif self.policy == "most-free":
-            chosen = min(
-                feasible,
-                key=lambda name: (
-                    -self.clients[name].frontend.cluster.free_gpus,
-                    order[name],
-                ),
-            )
-            free = self.clients[chosen].frontend.cluster.free_gpus
-            reason = f"most free GPUs ({free})"
-        else:  # least-queued
-            def pressure(name: str) -> float:
-                frontend = self.clients[name].frontend
-                return frontend.scheduler.queue_depth / max(1, frontend.cluster.total_gpus)
-
-            chosen = min(feasible, key=lambda name: (pressure(name), order[name]))
-            reason = f"lowest queue pressure ({pressure(chosen):.3f} jobs/GPU)"
+        frontend = self.clients[considered[chosen]].frontend
+        pressure = frontend.scheduler.queue_depth / max(1, frontend.cluster.total_gpus)
         return RoutingDecision(
-            profile=chosen,
-            reason=reason,
-            considered=tuple(feasible),
+            profile=considered[chosen],
+            reason=(
+                f"{self.policy}: {frontend.cluster.free_gpus} free GPUs, "
+                f"queue pressure {pressure:.3f} jobs/GPU"
+            ),
+            considered=tuple(considered),
             excluded=tuple(excluded),
         )
 

@@ -122,27 +122,13 @@ class TaccFrontend:
         """Run the full submission path; returns (job id, compile result, warnings).
 
         ``duration_hint_s`` is the job's *true* runtime in the simulated
-        world (unknown to the scheduler, which only sees the wall-time
-        limit); it defaults to 40% of the requested wall time.
+        world (see :func:`build_job`).
         """
         warnings = ensure_valid(spec, self.cluster)
         if workspace is None:
             workspace = synthesize_workspace(spec)
         compile_result = self.compiler.compile(spec, workspace)
-        duration = duration_hint_s or spec.resources.walltime_hours * 3600.0 * 0.4
-        job = Job(
-            job_id=self._ids.next(),
-            user_id=user,
-            lab_id=lab,
-            request=spec.resources.to_request(),
-            submit_time=self.now,
-            duration=duration,
-            tier=spec.qos.job_tier,
-            walltime_estimate=spec.resources.walltime_hours * 3600.0,
-            preemptible=spec.qos.preemptible,
-            model_name=spec.model,
-            name=spec.name,
-        )
+        job = build_job(spec, self._ids.next(), self.now, user, lab, duration_hint_s)
         self.sim.submit_job(job)
         self._submissions[job.job_id] = _Submission(
             spec=spec, compile_result=compile_result, job=job, warnings=warnings
@@ -236,6 +222,35 @@ class TaccFrontend:
             "queue_depth": self.scheduler.queue_depth,
             "sim_time_h": self.now / 3600.0,
         }
+
+
+def build_job(
+    spec: TaskSpec,
+    job_id: JobId,
+    submit_time: float,
+    user: str = "user-00",
+    lab: str = "lab-00",
+    duration_hint_s: float | None = None,
+) -> Job:
+    """The ``Job`` a submission of *spec* enters the simulator as.
+
+    ``duration_hint_s`` is the job's *true* runtime (unknown to the
+    scheduler, which only sees the wall-time limit); it defaults to 40% of
+    the requested wall time.
+    """
+    return Job(
+        job_id=job_id,
+        user_id=user,
+        lab_id=lab,
+        request=spec.resources.to_request(),
+        submit_time=submit_time,
+        duration=duration_hint_s or spec.resources.walltime_hours * 3600.0 * 0.4,
+        tier=spec.qos.job_tier,
+        walltime_estimate=spec.resources.walltime_hours * 3600.0,
+        preemptible=spec.qos.preemptible,
+        model_name=spec.model,
+        name=spec.name,
+    )
 
 
 def synthesize_workspace(spec: TaskSpec) -> dict[str, bytes]:

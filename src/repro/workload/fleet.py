@@ -19,6 +19,9 @@ durations, two tiers, scripted failures) array-at-a-time:
   :class:`~repro.workload.job.ResourceRequest` instance — at a million
   jobs this is the difference between ~100 MB of duplicate objects and a
   dict of a few hundred.
+* **One object loop**: the merged columns become plain Python lists in
+  one C pass, and :func:`materialize_jobs` builds every ``Job`` from them
+  before :meth:`FleetTraceSynthesizer.generate` returns.
 
 Determinism contract: *self*-deterministic (same seed + config → the same
 trace, byte for byte), **not** stream-compatible with the scalar
@@ -33,12 +36,127 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from .columnar import COLUMN_NAMES, ColumnarTrace, materialize_jobs
+from .job import FailureCategory, FailurePlan, Job, JobTier, ResourceRequest
 from .synth import SyntheticTraceConfig
 from .trace import Trace
 
 #: Zipf exponent for lab *volume* shares (mild skew: big labs submit more).
 LAB_SHARE_ZIPF = 0.8
+
+#: The per-job columns :func:`materialize_jobs` reads (all plain Python
+#: lists of scalars, already in canonical submit order).
+COLUMN_NAMES = (
+    "submit",
+    "interactive",
+    "num_gpus",
+    "duration",
+    "guaranteed",
+    "walltime",
+    "gpu_type",
+    "cpus",
+    "memory",
+    "fails",
+    "user_error",
+    "early_fraction",
+    "oom_fraction",
+    "elastic",
+    "dataset_gb",
+    "user_index",
+    "lab",
+)
+
+
+def materialize_jobs(
+    columns: dict[str, list],
+    lab_ids: list[str],
+    user_ids: list[list[str]],
+    gpus_per_node_cap: int,
+) -> list[Job]:
+    """Build the ``Job`` objects a column set describes (the hot loop).
+
+    Identical request shapes share one frozen
+    :class:`~repro.workload.job.ResourceRequest` instance.
+    """
+    submit_col = columns["submit"]
+    interactive_col = columns["interactive"]
+    num_gpus_col = columns["num_gpus"]
+    duration_col = columns["duration"]
+    guaranteed_col = columns["guaranteed"]
+    walltime_col = columns["walltime"]
+    gpu_type_col = columns["gpu_type"]
+    cpus_col = columns["cpus"]
+    memory_col = columns["memory"]
+    fails_col = columns["fails"]
+    user_error_col = columns["user_error"]
+    early_col = columns["early_fraction"]
+    oom_col = columns["oom_fraction"]
+    elastic_col = columns["elastic"]
+    dataset_col = columns["dataset_gb"]
+    user_index_col = columns["user_index"]
+    lab_col = columns["lab"]
+
+    request_cache: dict[tuple[int, int | None, str | None, int, float], ResourceRequest] = {}
+    cap = gpus_per_node_cap
+    guaranteed_tier = JobTier.GUARANTEED
+    opportunistic_tier = JobTier.OPPORTUNISTIC
+    user_error_cat = FailureCategory.USER_ERROR
+    oom_cat = FailureCategory.OOM
+    jobs: list[Job] = []
+    append = jobs.append
+    for index in range(len(submit_col)):
+        num_gpus = num_gpus_col[index]
+        interactive = interactive_col[index]
+        request_key = (
+            num_gpus,
+            min(num_gpus, cap) if num_gpus > cap else None,
+            gpu_type_col[index] or None,
+            cpus_col[index],
+            memory_col[index],
+        )
+        request = request_cache.get(request_key)
+        if request is None:
+            request = ResourceRequest(
+                num_gpus=request_key[0],
+                gpus_per_node=request_key[1],
+                gpu_type=request_key[2],
+                cpus_per_gpu=request_key[3],
+                memory_gb_per_gpu=request_key[4],
+            )
+            request_cache[request_key] = request
+
+        failure_plan = None
+        if fails_col[index]:
+            if user_error_col[index]:
+                failure_plan = FailurePlan(user_error_cat, early_col[index] or 0.01)
+            else:
+                failure_plan = FailurePlan(oom_cat, oom_col[index])
+
+        elastic_min = None
+        preemptible = None
+        if elastic_col[index]:
+            elastic_min = max(1, num_gpus // 4)
+            preemptible = True
+
+        lab_index = lab_col[index]
+        append(
+            Job(
+                job_id=f"job-{index:08d}",
+                user_id=user_ids[lab_index][user_index_col[index]],
+                lab_id=lab_ids[lab_index],
+                request=request,
+                submit_time=submit_col[index],
+                duration=duration_col[index],
+                tier=guaranteed_tier if guaranteed_col[index] else opportunistic_tier,
+                walltime_estimate=walltime_col[index],
+                interactive=interactive,
+                preemptible=preemptible,
+                failure_plan=failure_plan,
+                elastic_min_gpus=elastic_min,
+                dataset_gb=dataset_col[index],
+                name=f"{'notebook' if interactive else 'train'}-{index}",
+            )
+        )
+    return jobs
 
 
 def _hourly_rates(config: SyntheticTraceConfig) -> np.ndarray:
@@ -179,15 +297,8 @@ class FleetTraceSynthesizer:
 
     # -- generation ----------------------------------------------------------
 
-    def generate(self, lazy: bool = False) -> Trace:
-        """Synthesize the trace; ``lazy=True`` defers Job construction.
-
-        The lazy path returns a :class:`~repro.workload.columnar.ColumnarTrace`
-        whose statistics and serialisation rows come straight from the
-        columns; ``Job`` objects are built (by the exact same loop) only
-        when something iterates or indexes the trace.  The eager default
-        keeps the fleet golden tests byte-identical.
-        """
+    def generate(self) -> Trace:
+        """Synthesize the trace: vectorized columns, then one object loop."""
         cfg = self.config
         base_rates = _hourly_rates(cfg)
         shares = self._lab_shares()
@@ -223,15 +334,6 @@ class FleetTraceSynthesizer:
             for lab in range(cfg.num_labs)
         ]
         metadata = {"config": cfg.name, "days": cfg.days, "generator": "fleet"}
-        if lazy:
-            return ColumnarTrace(
-                cols,
-                name=f"{cfg.name}-fleet",
-                metadata=metadata,
-                lab_ids=lab_ids,
-                user_ids=user_ids,
-                gpus_per_node_cap=cfg.gpus_per_node_cap,
-            )
         return Trace(
             materialize_jobs(cols, lab_ids, user_ids, cfg.gpus_per_node_cap),
             name=f"{cfg.name}-fleet",
@@ -239,8 +341,6 @@ class FleetTraceSynthesizer:
         )
 
 
-def fleet_trace(
-    config: SyntheticTraceConfig, seed: int = 0, lazy: bool = False
-) -> Trace:
+def fleet_trace(config: SyntheticTraceConfig, seed: int = 0) -> Trace:
     """One-call vectorized synthesis (see :class:`FleetTraceSynthesizer`)."""
-    return FleetTraceSynthesizer(config, seed=seed).generate(lazy=lazy)
+    return FleetTraceSynthesizer(config, seed=seed).generate()

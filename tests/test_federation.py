@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import ClusterSpec, NodeGroup, NodeSpec, build_cluster
 from repro.errors import ConfigError, SchemaError, SimulationError
+from repro.federation.routing import ROUTING_POLICIES
 from repro.schema import FileSpec, ResourceSpec, TaskSpec
 from repro.tcloud import (
     ClusterProfile,
@@ -59,6 +60,18 @@ class TestRouting:
         with pytest.raises(ConfigError, match="routing policy"):
             federation(policy="clairvoyant")
 
+    @pytest.mark.parametrize(
+        "profiles", [[], ["site-a", "site-a"]], ids=["empty", "duplicate"]
+    )
+    def test_profile_list_is_taken_as_given(self, profiles):
+        # Neither list may quietly become "every profile" or one site.
+        config = TcloudConfig()
+        config.add(ClusterProfile(name="site-a", endpoint="sim://site-a"))
+        config.add(ClusterProfile(name="site-b", endpoint="sim://site-b"))
+        frontends = {"site-a": small_frontend("v100"), "site-b": small_frontend("a100-80")}
+        with pytest.raises(ConfigError, match="profile"):
+            FederatedClient(config, profiles=profiles, frontends=frontends)
+
     def test_feasibility_filter(self):
         fed = federation()
         decision = fed.route(spec(gpu_type="a100-80"))
@@ -103,7 +116,7 @@ class TestRoutingEdgeCases:
         }
         return FederatedClient(config, policy=policy, frontends=frontends)
 
-    @pytest.mark.parametrize("policy", ["least-queued", "most-free", "first-feasible"])
+    @pytest.mark.parametrize("policy", sorted(ROUTING_POLICIES))
     def test_ties_break_by_profile_order_deterministically(self, policy):
         fed = self.twin_federation(policy)
         decisions = [fed.route(spec()).profile for _ in range(5)]

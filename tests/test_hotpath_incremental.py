@@ -1,16 +1,18 @@
 """Incremental hot path: relax epochs, blocked-verdict cache, release ledger.
 
-Pins the three invariants the fleet-scale optimizations rest on:
+Pins the invariants the fleet-scale optimizations rest on:
 
 1. ``ClusterIndex.relax_epoch`` ticks exactly on capacity-*increasing*
    events (free on a healthy node, repair) — never on allocations or
    failures, which only shrink the fit set.
 2. ``Scheduler.try_place`` answers repeat failures from the blocked cache
    while the epoch is unchanged, without consulting the placement policy —
-   the fix for the retry storm that made a 1024-GPU run cost 6x more
-   placement attempts than a 2048-GPU one (the BENCH_hotpath anomaly).
+   the fix for a retry storm in which a 1024-GPU run made 6x more
+   placement attempts than a 2048-GPU one.
 3. The backfill release ledger reproduces the scalar
    ``_release_schedule`` scan.
+4. The cluster index keeps a placement attempt's scan far below the
+   cluster size on a realistic loaded run.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import uniform_cluster
-from repro.sched import EasyBackfillScheduler, FifoScheduler
+from repro.experiments.common import run_policy
+from repro.sched import EasyBackfillScheduler, FifoScheduler, make_scheduler
 from repro.sched.backfill import _release_schedule
 from repro.sched.base import ScheduleContext
 from repro.sim import ClusterSimulator, SimConfig
 from repro.workload import Trace
-from repro.workload.synth import tacc_campus
 from repro.workload.fleet import fleet_trace
+from repro.workload.models import assign_models
+from repro.workload.synth import TraceSynthesizer, tacc_campus, with_load
 from tests.conftest import make_job
 
 
@@ -129,6 +133,19 @@ class TestBlockedVerdictCache:
         for _ in range(10):
             simulator.scheduler.schedule(ctx)
         assert perf.nodes_examined == examined_before
+
+
+class TestIndexBound:
+    def test_nodes_per_attempt_stay_below_half_the_cluster(self):
+        """A loaded 256-GPU backfill run: before the index, an attempt
+        examined most of the nodes; with it, a small fraction."""
+        cluster = uniform_cluster(32, gpus_per_node=8)
+        config = with_load(tacc_campus(days=2.0), cluster.total_gpus, 0.9, seed=32)
+        trace = TraceSynthesizer(config, seed=32).generate()
+        assign_models(trace, seed=0)
+        result = run_policy(make_scheduler("backfill-easy"), trace, cluster=cluster)
+        assert result.perf.placement_attempts > 0
+        assert result.perf.nodes_per_attempt < len(cluster.nodes) / 2
 
 
 class _AuditingEasy(EasyBackfillScheduler):

@@ -212,11 +212,8 @@ class TestRunner:
         for name in cells:
             assert pooled[name].summary == serial[name].summary
             assert pooled[name].events_processed == serial[name].events_processed
-            # perf counters are deterministic except the wall-clock one
-            drop = "sched_pass_wall_s"
-            pooled_perf = {k: v for k, v in pooled[name].perf.items() if k != drop}
-            serial_perf = {k: v for k, v in serial[name].perf.items() if k != drop}
-            assert pooled_perf == serial_perf
+            # every perf counter is a deterministic work count
+            assert pooled[name].perf == serial[name].perf
 
     def test_execution_context_installs_and_restores(self):
         from repro import sweep

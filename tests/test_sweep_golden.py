@@ -10,6 +10,11 @@ comparison.
 The subset below keeps the test fast while still covering multi-cell
 experiments, cross-experiment cache sharing (T2 reuses F5's cells), a
 preemptive quota run, and an ablation with checkpoint costs.
+
+A warm replay is stricter still: it must equal the cold run that filled
+the cache byte for byte, F10's host-timing columns included (a cell's
+``wall_s`` travels with its cached result), and it must neither run nor
+synthesize anything.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from pathlib import Path
 
 import pytest
 
+from repro import sweep
+from repro.experiments import EXPERIMENTS
 from repro.sweep import CELL_FORMAT_VERSION, CellResult, SweepCache
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -116,3 +123,22 @@ class TestGoldenByteIdentity:
             if FOOTER.match(line) and "/ 1 run" in line
         ]
         assert rerun, "exactly the poisoned cell should have re-run"
+
+
+class TestWarmReplay:
+    def test_warm_replay_is_byte_identical_and_runs_nothing(self, tmp_path):
+        def render_all():
+            with sweep.execution(jobs=1, cache_dir=tmp_path) as runner:
+                rendered = [
+                    EXPERIMENTS[experiment_id].run(seed=0, scale=0.1).render()
+                    for experiment_id in ("F10", "F5")
+                ]
+                return rendered, runner.stats.snapshot()
+
+        cold, cold_stats = render_all()
+        warm, warm_stats = render_all()
+        assert cold_stats["cache_misses"] == cold_stats["cells"] > 1
+        assert warm == cold
+        assert warm_stats["cache_misses"] == 0
+        assert warm_stats["cache_hits"] == warm_stats["cells"] == cold_stats["cells"]
+        assert warm_stats["traces_synthesized"] == 0
