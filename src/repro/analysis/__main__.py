@@ -1,7 +1,7 @@
 """Command-line entry point: ``python -m repro.analysis [paths…]``.
 
-Exit codes: 0 — no new findings; 1 — new (non-baselined) findings or
-malformed suppressions; 2 — usage/environment error.  ``tcloud lint``
+Exit codes: 0 — no findings; 1 — any unsuppressed finding (malformed or
+unknown suppressions included); 2 — usage/environment error.  ``tcloud lint``
 delegates here, so both front doors behave identically.  Every run is a
 full serial pass over the given paths; ``--stats`` reports where its
 time went, rule by rule.
@@ -12,14 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Sequence
 
-from .baseline import Baseline
 from .registry import all_rules
 from .runner import AnalysisReport, analyze_paths
-
-DEFAULT_BASELINE = "simlint-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,24 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=["src"],
         help="files or directories to analyze (default: src)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=(
-            "baseline JSON of grandfathered findings "
-            f"(default: {DEFAULT_BASELINE} when present)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline; report every finding as new",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="describe every registered rule"
@@ -100,10 +78,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.write(_list_rules() + "\n")
         return 0
 
-    baseline_path = args.baseline
-    if baseline_path is None and Path(DEFAULT_BASELINE).exists():
-        baseline_path = DEFAULT_BASELINE
-
     try:
         report = analyze_paths(args.paths)
     except FileNotFoundError as exc:
@@ -113,40 +87,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.stats:
         sys.stderr.write(_render_stats(report) + "\n")
 
-    if args.write_baseline:
-        target = baseline_path or DEFAULT_BASELINE
-        Baseline.from_findings(report.findings).save(target)
-        sys.stdout.write(
-            f"simlint: wrote {len(report.findings)} finding(s) to {target}\n"
-        )
-        return 0
-
-    baseline = None
-    if baseline_path is not None and not args.no_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (OSError, ValueError, KeyError) as exc:
-            sys.stderr.write(f"simlint: cannot read baseline {baseline_path}: {exc}\n")
-            return 2
-    new, baselined = report.partition(baseline)
-
+    findings = report.findings
     if args.format == "json":
         payload = {
             "files_analyzed": report.files_analyzed,
             "rules": list(report.rules_run),
-            "new": [finding.as_dict() for finding in new],
-            "baselined": [finding.as_dict() for finding in baselined],
+            "findings": [finding.as_dict() for finding in findings],
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        for finding in new:
+        for finding in findings:
             sys.stdout.write(finding.render() + "\n")
         status = (
-            f"simlint: {len(new)} new finding(s), {len(baselined)} baselined, "
+            f"simlint: {len(findings)} finding(s), "
             f"{report.files_analyzed} file(s), {len(report.rules_run)} rule(s)"
         )
         sys.stdout.write(status + "\n")
-    return 1 if new else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Per-file analysis context shared by every rule.
 
-A :class:`FileContext` owns the parsed AST, the raw source lines, the
+A :class:`FileContext` owns the parsed AST, the source text, the
 suppression map, and a small import-alias index that syntactic rules need
 constantly (which local names refer to the ``random`` / ``time`` /
 ``numpy`` modules, which names were imported *from* them).  Building it
@@ -78,7 +78,6 @@ class FileContext:
     path: str  # posix-style, as reported in findings
     source: str
     tree: ast.Module
-    lines: list[str]
     suppressions: SuppressionMap
     imports: ImportIndex
 
@@ -91,30 +90,20 @@ class FileContext:
             path=posix,
             source=source,
             tree=tree,
-            lines=source.splitlines(),
             suppressions=parse_suppressions(source, posix),
             imports=_build_import_index(tree),
         )
-
-    def source_line(self, line: int) -> str:
-        """Stripped text of 1-based *line* (empty when out of range)."""
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
 
     def finding(
         self, rule_id: str, node: ast.AST, message: str
     ) -> Finding:
         """Build a finding anchored at *node*."""
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
         return Finding(
             rule_id=rule_id,
             path=self.path,
-            line=line,
-            col=col,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
             message=message,
-            source_line=self.source_line(line),
         )
 
     def path_matches(self, fragments: tuple[str, ...]) -> bool:

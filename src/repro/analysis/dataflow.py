@@ -78,11 +78,15 @@ class TaintReach:
     """A tainted value arriving somewhere a rule cares about.
 
     ``sink`` encodes how it arrived: ``call:<name>`` (tainted argument to
-    a sink call), ``loop-call:<name>`` (sink call issued once per
-    iteration of a loop over unordered data), ``return`` (arbitrary order
-    escapes the function), ``accumulation`` (float accumulation in
-    arbitrary order — rule R10), ``sort-key`` (sort key reads a tainted
-    name), or ``idkeys-sort`` (sorting by memory address).
+    a sink call), ``loop-call:<name>`` (sink call, or a side-effect method
+    call on anything but the loop element, issued once per iteration of a
+    loop over unordered data), ``return`` (arbitrary order escapes the
+    function, also by an early return from such a loop),
+    ``attribute:<name>`` (an ordered value stored on an attribute),
+    ``tie-break:<name>`` (``min``/``max`` with ``key=`` over unordered
+    data), ``accumulation`` (float accumulation in arbitrary order — rule
+    R10), ``sort-key`` (sort key reads a tainted name), or ``idkeys-sort``
+    (sorting by memory address).
     """
 
     node: ast.AST  # anchor for the finding
@@ -207,6 +211,9 @@ class FunctionTaintAnalysis:
         self.float_names: set[str] = set()
         #: Stack of taints of enclosing ``for`` loops over tainted iterables.
         self.loop_taints: list[Taint] = []
+        #: Names bound by those loops (and loops nested in them): per-element
+        #: values whose own method calls do not observe the visit order.
+        self.loop_elements: list[set[str]] = []
 
     # -- expression evaluation ------------------------------------------------
 
@@ -245,15 +252,19 @@ class FunctionTaintAnalysis:
                     return part_taint.then(line, "interpolated into an f-string")
         return None
 
+    def _order_taint(self, node: ast.expr) -> Taint | None:
+        """Taint of *node* when iterating it visits elements in arbitrary order."""
+        taint = self.taint_of(node)
+        if taint is not None and taint.kind is not TaintKind.IDKEYS:
+            return taint
+        return None
+
     def _comprehension_taint(self, node: ast.expr) -> Taint | None:
         """A comprehension over a tainted iterable materialises its order."""
         assert isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp))
         for generator in node.generators:
-            iter_taint = self.taint_of(generator.iter)
-            if iter_taint is not None and iter_taint.kind in (
-                TaintKind.UNORDERED,
-                TaintKind.ORDERED,
-            ):
+            iter_taint = self._order_taint(generator.iter)
+            if iter_taint is not None:
                 shape = {
                     ast.ListComp: "list comprehension",
                     ast.GeneratorExp: "generator expression",
@@ -292,11 +303,8 @@ class FunctionTaintAnalysis:
                     # arbitrary insertion order, so ORDERED carries too.
                     return receiver.then(line, f".{bare}() view", receiver.kind)
             if bare == "join" and node.args:
-                arg_taint = self.taint_of(node.args[0])
-                if arg_taint is not None and arg_taint.kind in (
-                    TaintKind.UNORDERED,
-                    TaintKind.ORDERED,
-                ):
+                arg_taint = self._order_taint(node.args[0])
+                if arg_taint is not None:
                     return arg_taint.then(
                         line, "order materialised by str.join", TaintKind.ORDERED
                     )
@@ -307,22 +315,16 @@ class FunctionTaintAnalysis:
             return None  # order-free scalar result (sum itself is R10's job)
         if bare in _MATERIALIZERS:
             for arg in node.args:
-                arg_taint = self.taint_of(arg)
-                if arg_taint is not None and arg_taint.kind in (
-                    TaintKind.UNORDERED,
-                    TaintKind.ORDERED,
-                ):
+                arg_taint = self._order_taint(arg)
+                if arg_taint is not None:
                     return arg_taint.then(
                         line, f"order materialised by {bare}()", TaintKind.ORDERED
                     )
             return None
         if bare in _PROPAGATORS:
             for arg in node.args:
-                arg_taint = self.taint_of(arg)
-                if arg_taint is not None and arg_taint.kind in (
-                    TaintKind.UNORDERED,
-                    TaintKind.ORDERED,
-                ):
+                arg_taint = self._order_taint(arg)
+                if arg_taint is not None:
                     return arg_taint.then(
                         line, f"order-dependent {bare}()", TaintKind.ORDERED
                     )
@@ -349,6 +351,10 @@ class FunctionTaintAnalysis:
             taint = self.taint_of(node.value)
             if taint is not None and taint.kind is TaintKind.ORDERED:
                 self.on_reach(TaintReach(node, taint, "return"))
+            elif self.loop_taints and not isinstance(node.value, ast.Constant):
+                # The first element the arbitrary order visits wins.
+                taint = self.loop_taints[-1].then(node.lineno, "returned from the loop")
+                self.on_reach(TaintReach(node, taint, "return"))
         elif isinstance(node, ast.For):
             self._for_loop(node)
         elif isinstance(node, ast.While):
@@ -371,6 +377,8 @@ class FunctionTaintAnalysis:
             self.run(node.finalbody)
         elif isinstance(node, ast.Expr):
             self._scan_calls(node.value)
+            if self.loop_taints and isinstance(node.value, ast.Call):
+                self._check_loop_side_effect(node.value)
         elif isinstance(node, ast.Raise):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.expr):
@@ -424,6 +432,18 @@ class FunctionTaintAnalysis:
                     TaintKind.ORDERED,
                 )
                 continue
+            if (
+                isinstance(target, ast.Attribute)
+                and taint is not None
+                and taint.kind is TaintKind.ORDERED
+            ):
+                self.on_reach(
+                    TaintReach(
+                        target,
+                        taint.then(target.lineno, f"stored on '.{target.attr}'"),
+                        f"attribute:{target.attr}",
+                    )
+                )
             for name in _target_names(target):
                 if taint is not None:
                     self.env[name] = taint.then(value.lineno, f"assigned to '{name}'")
@@ -448,20 +468,20 @@ class FunctionTaintAnalysis:
 
     def _for_loop(self, node: ast.For) -> None:
         self._scan_calls(node.iter)
-        iter_taint = self.taint_of(node.iter)
-        pushed = False
-        if iter_taint is not None and iter_taint.kind in (
-            TaintKind.UNORDERED,
-            TaintKind.ORDERED,
-        ):
+        iter_taint = self._order_taint(node.iter)
+        if iter_taint is not None:
             self.loop_taints.append(iter_taint.then(node.lineno, "iterated by a for loop"))
-            pushed = True
+        bound = bool(self.loop_taints)
+        if bound:
+            self.loop_elements.append(set(_target_names(node.target)))
         try:
             self.run(node.body)
             self.run(node.orelse)
         finally:
-            if pushed:
+            if iter_taint is not None:
                 self.loop_taints.pop()
+            if bound:
+                self.loop_elements.pop()
 
     # -- call scanning: sinks, accumulators, container mutations --------------
 
@@ -499,13 +519,25 @@ class FunctionTaintAnalysis:
                     )
             if bare in ("sorted", "sort"):
                 self._check_sort_key(call)
+            if (
+                bare in ("min", "max")
+                and len(call.args) == 1
+                and any(keyword.arg == "key" for keyword in call.keywords)
+            ):
+                arg_taint = self._order_taint(call.args[0])
+                if arg_taint is not None:
+                    # Ties under the key go to whichever element comes first.
+                    self.on_reach(
+                        TaintReach(
+                            call.args[0],
+                            arg_taint.then(call.lineno, f"{bare}(key=) tie-break"),
+                            f"tie-break:{bare}",
+                        )
+                    )
             if bare in _ACCUMULATORS:
                 for arg in call.args:
-                    arg_taint = self.taint_of(arg)
-                    if arg_taint is not None and arg_taint.kind in (
-                        TaintKind.UNORDERED,
-                        TaintKind.ORDERED,
-                    ):
+                    arg_taint = self._order_taint(arg)
+                    if arg_taint is not None:
                         self.on_reach(
                             TaintReach(
                                 call,
@@ -533,6 +565,40 @@ class FunctionTaintAnalysis:
                             )
                         )
                         return
+
+    def _check_loop_side_effect(self, call: ast.Call) -> None:
+        """A method called for its effect, once per arbitrary-order element.
+
+        Calls on the loop element itself (``future.result()``) and on
+        unordered collections (``seen.add(x)``) cannot observe the order;
+        sinks and ``append``/``extend`` are handled by :meth:`_scan_calls`.
+        """
+        if not isinstance(call.func, ast.Attribute):
+            return
+        bare = call.func.attr
+        receiver: ast.expr = call.func
+        while isinstance(receiver, (ast.Attribute, ast.Subscript, ast.Call)):
+            receiver = receiver.func if isinstance(receiver, ast.Call) else receiver.value
+        if not isinstance(receiver, ast.Name):
+            return
+        root = receiver.id
+        receiver_taint = self.env.get(root)
+        if (
+            bare in ("append", "extend")
+            or self._is_sink(bare)
+            or any(root in names for names in self.loop_elements)
+            or (receiver_taint is not None and receiver_taint.kind is TaintKind.UNORDERED)
+        ):
+            return
+        self.on_reach(
+            TaintReach(
+                call,
+                self.loop_taints[-1].then(
+                    call.lineno, f"{root}.{bare}() called once per iteration"
+                ),
+                f"loop-call:{bare}",
+            )
+        )
 
     def _check_sink_call(self, call: ast.Call, name: str) -> None:
         bare = name.split(".")[-1]

@@ -2,8 +2,8 @@
 
 A :class:`Finding` pins one invariant violation to a file, line and column,
 carrying the rule id and a human-oriented message.  Findings are value
-objects: the runner sorts, de-duplicates against the baseline, and renders
-them without any rule-specific knowledge.
+objects: the runner sorts, filters and renders them without any
+rule-specific knowledge.
 """
 
 from __future__ import annotations
@@ -16,13 +16,11 @@ class Finding:
     """One invariant violation at a concrete source location.
 
     Attributes:
-        rule_id: Short rule identifier (``R1`` … ``R8``).
+        rule_id: Short rule identifier (``R1`` … ``R13``, ``S0``, ``P0``).
         path: Path of the offending file as given to the analyzer.
         line: 1-based line of the offending node.
         col: 0-based column of the offending node.
         message: What is wrong and what to do instead.
-        source_line: The stripped source text of ``line`` — the baseline
-            keys on it so grandfathered findings survive line-number drift.
     """
 
     rule_id: str
@@ -30,16 +28,10 @@ class Finding:
     line: int
     col: int
     message: str
-    source_line: str = ""
 
     @property
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule_id)
-
-    @property
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Line-number-independent identity used by the baseline file."""
-        return (self.rule_id, self.path, self.source_line)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}: {self.rule_id} {self.message}"
@@ -51,5 +43,4 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "source_line": self.source_line,
         }

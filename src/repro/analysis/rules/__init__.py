@@ -13,7 +13,6 @@ from . import (  # noqa: F401  — imported for registration side effects
     events,
     hygiene,
     numerics,
-    ordering,
     speccheck,
     taint,
 )

@@ -8,10 +8,11 @@ arbitrary order) are fixed by folding over a sorted iterable, because
 float addition is not associative and the sum's low bits depend on
 visit order.
 
-Unlike the syntactic R6 (bare iteration over a set expression), these
-rules let unordered data *exist* freely — only materialising its order
-into a result is flagged, and the finding message carries the full
-source→sink taint chain so the fix site is obvious.
+These rules let unordered data *exist* freely — only an observation of
+its order is flagged (a result sink, a return, an attribute store, a
+``min``/``max(key=)`` tie, or a per-element side effect), and the finding
+message carries the full source→sink taint chain so the fix site is
+obvious.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ def _sink_phrase(reach: TaintReach) -> str:
         return f"drives sink {detail}() once per arbitrary-order iteration"
     if kind == "return":
         return "escapes via return with arbitrary element order"
+    if kind == "attribute":
+        return f"is stored on attribute .{detail}"
+    if kind == "tie-break":
+        return f"decides which element wins a {detail}(key=) tie"
     if kind == "sort-key":
         return "is read by a sort key, making the sort order racy"
     if kind == "idkeys-sort":

@@ -1,4 +1,4 @@
-"""simlint driver: collect files, run rules, apply suppressions + baseline.
+"""simlint runner: collect files, run rules, apply suppressions.
 
 The runner is the only component that touches the filesystem; rules see
 :class:`~repro.analysis.context.FileContext` objects, so tests (and the
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .baseline import Baseline
 from .context import FileContext
 from .findings import Finding
 from .registry import ProjectRule, Rule, all_rules
@@ -76,17 +75,12 @@ class LintStats:
 
 @dataclass
 class AnalysisReport:
-    """Outcome of one analyzer run, before baseline partitioning."""
+    """Outcome of one analyzer run."""
 
     findings: list[Finding] = field(default_factory=list)
     files_analyzed: int = 0
     rules_run: tuple[str, ...] = ()
     stats: LintStats = field(default_factory=LintStats)
-
-    def partition(self, baseline: Baseline | None) -> tuple[list[Finding], list[Finding]]:
-        if baseline is None:
-            return list(self.findings), []
-        return baseline.split(self.findings)
 
 
 def _parse(path: str, data: bytes) -> FileContext | Finding:
@@ -117,13 +111,14 @@ def _parse(path: str, data: bytes) -> FileContext | Finding:
 def analyze_sources(sources: Sequence[tuple[str, bytes]]) -> AnalysisReport:
     """Run every rule over ``(display path, file bytes)`` pairs.
 
-    Files are visited in path order; each contributes its malformed
-    suppression directives and per-file rule findings, then every project
-    rule sees all parsed files at once.  Suppressions are filtered last,
-    and the result is sorted by location.
+    Files are visited in path order; each contributes its malformed or
+    unknown-rule suppression directives and per-file rule findings, then
+    every project rule sees all parsed files at once.  Suppressions are
+    filtered last, and the result is sorted by location.
     """
     started = time.perf_counter()
     rules = all_rules()
+    known_ids = {rule.id for rule in rules} | {"all"}
     stats = LintStats()
     findings: list[Finding] = []
     contexts: list[FileContext] = []
@@ -134,6 +129,11 @@ def analyze_sources(sources: Sequence[tuple[str, bytes]]) -> AnalysisReport:
             continue
         contexts.append(parsed)
         findings.extend(parsed.suppressions.errors)
+        findings.extend(
+            Finding("S0", parsed.path, line, col, f"unknown simlint rule {rule_id!r}")
+            for line, col, rule_id in parsed.suppressions.named
+            if rule_id not in known_ids
+        )
         for rule in rules:
             if isinstance(rule, Rule) and rule.applies_to(parsed):
                 rule_started = time.perf_counter()

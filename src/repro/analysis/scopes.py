@@ -25,16 +25,6 @@ SIMULATION = (
     "repro/compiler/",
 )
 
-#: Scheduler/placement hot paths where iteration order decides outcomes.
-ORDER_SENSITIVE = (
-    "repro/sim/",
-    "repro/sched/",
-    "repro/serving/",
-    "repro/controlplane/",
-    "repro/cluster/",
-    "repro/federation/",
-)
-
 #: Result-producing code where float equality silently misclassifies.
 NUMERIC_RESULTS = (
     "repro/sim/metrics",

@@ -13,7 +13,8 @@ Comments are extracted with :mod:`tokenize`, not regex-over-lines, so a
 ``# simlint:`` sequence inside a string literal never suppresses anything.
 Every suppression must name rules explicitly or say ``all`` — a bare
 ``# simlint: disable`` is reported as a malformed-suppression finding
-rather than silently ignored.
+rather than silently ignored, and the runner reports any named id that is
+not a registered rule (a typo, or a retired rule such as ``R6``).
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ class SuppressionMap:
     file_wide: set[str] = field(default_factory=set)
     #: Malformed directives, reported as findings so typos fail loudly.
     errors: list[Finding] = field(default_factory=list)
+    #: Every rule id a directive names, as ``(line, col, id)``.
+    named: list[tuple[int, int, str]] = field(default_factory=list)
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         if rule_id in self.file_wide or "all" in self.file_wide:
@@ -77,11 +80,11 @@ def parse_suppressions(source: str, path: str) -> SuppressionMap:
                         "'# simlint: disable=RULE[,RULE]' "
                         "(or disable-next-line= / disable-file=)"
                     ),
-                    source_line=token.line.strip(),
                 )
             )
             continue
         rules = {part.strip() for part in match.group("rules").split(",") if part.strip()}
+        suppressions.named.extend((line, token.start[1], rule) for rule in sorted(rules))
         verb = match.group("verb")
         if verb == "disable":
             suppressions.by_line.setdefault(line, set()).update(rules)
@@ -100,7 +103,6 @@ def parse_suppressions(source: str, path: str) -> SuppressionMap:
                         "disable-file directives must appear in the first "
                         f"{FILE_SCOPE_LINES} lines of the file"
                     ),
-                    source_line=token.line.strip(),
                 )
             )
     return suppressions

@@ -99,7 +99,7 @@ class ExecutionModel:
             )
         actual_shape = shape_from_placement(placement, cluster)
         gpu_types = {cluster.node(n).spec.gpu_type for n in placement}
-        slowest = min(gpu_types, key=lambda t: get_gpu_spec(t).relative_speed)
+        slowest = min(sorted(gpu_types), key=lambda t: get_gpu_spec(t).relative_speed)
         reference_gpu = job.request.gpu_type or REFERENCE_GPU
         ref_shape = self.reference_shape(
             job, nic_gbps=min(cluster.node(n).spec.nic_gbps for n in placement)

@@ -84,7 +84,7 @@ class DrfScheduler(Scheduler):
             # The key tie-breaks on the user id itself, a total order, so the
             # min over the set is deterministic despite hash iteration order.
             user = min(
-                active,  # simlint: disable=R6
+                active,  # simlint: disable=R9
                 key=lambda u: (self.dominant_share(usage.get(u, (0.0, 0.0, 0.0)), totals), u),
             )
             job = pending[user][0]

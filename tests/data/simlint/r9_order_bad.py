@@ -1,4 +1,4 @@
-"""R6 bad: set iteration order decides scheduling outcomes."""
+"""R9 bad: set iteration order decides scheduling outcomes."""
 
 
 def pick(node_ids, load):

@@ -1,4 +1,4 @@
-"""R6 good: explicit order before iterating a set."""
+"""R9 good: explicit order before a set's order is observable."""
 
 
 def pick(node_ids, load):

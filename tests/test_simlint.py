@@ -1,4 +1,4 @@
-"""simlint analyzer tests: every rule, suppressions, baseline, CLI, clean tree.
+"""simlint analyzer tests: every rule, suppressions, CLI, clean tree.
 
 Each rule R1–R13 is exercised by a bad/good fixture pair under
 ``tests/data/simlint/`` analyzed under a *virtual* path inside the rule's
@@ -14,30 +14,27 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    Baseline,
-    all_rules,
-    analyze_paths,
-    analyze_source,
-    rule_by_id,
-)
+from repro.analysis import all_rules, analyze_paths, analyze_source, rule_by_id
 from repro.analysis.__main__ import main as simlint_main
 from repro.tcloud.cli import main as tcloud_main
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "tests" / "data" / "simlint"
 
-#: rule id → (fixture stem, virtual path the fixture is analyzed under).
+#: fixture label → (fixture stem, virtual path the fixture is analyzed
+#: under).  The label is the rule id, or ``<id>-<aspect>`` for a rule's
+#: further pairs.
 RULE_FIXTURES = {
     "R1": ("r1", "src/repro/sim/fixture.py"),
     "R2": ("r2", "src/repro/sim/fixture.py"),
     "R3": ("r3", "src/repro/sched/fixture.py"),
     "R4": ("r4", "src/repro/sim/events_fixture.py"),
     "R5": ("r5", "src/repro/experiments/fixture.py"),
-    "R6": ("r6", "src/repro/sched/fixture.py"),
     "R7": ("r7", "src/repro/sim/fixture.py"),
     "R8": ("r8", "src/repro/sim/fixture.py"),
     "R9": ("r9", "src/repro/workload/fixture.py"),
+    # Order observed by scheduling code: the shapes the retired R6 banned.
+    "R9-order": ("r9_order", "src/repro/sched/fixture.py"),
     "R10": ("r10", "src/repro/workload/fixture.py"),
     "R12": ("r12", "src/repro/schema/fixture.py"),
     "R13": ("r13", "src/repro/sim/fixture.py"),
@@ -63,7 +60,8 @@ class TestRegistry:
             rule_by_id("R999")
 
     def test_every_rule_has_fixture_coverage(self):
-        assert set(RULE_FIXTURES) == {rule.id for rule in all_rules()}
+        labelled = {label.partition("-")[0] for label in RULE_FIXTURES}
+        assert labelled == {rule.id for rule in all_rules()}
 
 
 class TestRules:
@@ -72,7 +70,7 @@ class TestRules:
         stem, path = RULE_FIXTURES[rule_id]
         findings = analyze_source(fixture_source(f"{stem}_bad"), path)
         assert findings, f"{stem}_bad.py produced no findings"
-        assert {f.rule_id for f in findings} == {rule_id}
+        assert {f.rule_id for f in findings} == {rule_id.partition("-")[0]}
 
     @pytest.mark.parametrize("rule_id", sorted(RULE_FIXTURES))
     def test_good_fixture_is_clean(self, rule_id):
@@ -113,14 +111,6 @@ class TestRules:
         # The string rank is flagged AND leaves Tick effectively unranked.
         assert {f.rule_id for f in findings} == {"R4"}
         assert any("integer" in f.message for f in findings)
-
-    def test_r6_sorted_wrapper_escapes(self):
-        source = "ids = {1, 2, 3}\nordered = sorted(ids)\n"
-        assert analyze_source(source, "src/repro/sched/x.py") == []
-
-    def test_r6_scalar_min_is_not_flagged(self):
-        source = "a = {1}\nx = min(2, 3)\n"
-        assert analyze_source(source, "src/repro/sched/x.py") == []
 
     def test_r7_exempts_snapshot_module(self):
         source = fixture_source("r7_bad")
@@ -209,6 +199,64 @@ class TestTaintDataflow:
             "    return sum(sorted(prices))\n"
         )
         assert analyze_source(source, self.SIM) == []
+
+
+#: Function bodies whose arbitrary set order is observed (shape → body, sink).
+ORDER_OBSERVED = {
+    "early-return": ("for n in set(s):\n    return n\n", "escapes via return"),
+    "min-key": ("x = min(set(s), key=f)\n", "wins a min(key=) tie"),
+    "attribute": ("self.order = list(set(s))\n", "stored on attribute .order"),
+    "loop-call": (
+        "for x in set(s):\n    ctx.start_job(x)\n",
+        "drives sink start_job()",
+    ),
+    "loop-call-via-list": (
+        "out = list(set(s))\nfor x in out:\n    ctx.start_job(x)\n",
+        "drives sink start_job()",
+    ),
+}
+
+#: Function bodies that hold unordered data without observing its order.
+ORDER_FREE = {
+    "sorted-view": "ids = {1, 2, 3}\nordered = sorted(ids)\n",
+    "scalar-min": "a = {1}\nx = min(2, 3)\n",
+    "min-without-key": "x = min(set(s))\n",
+    "sorted-loop-call": "for x in sorted(set(s)):\n    ctx.start_job(x)\n",
+    "set-receiver": "seen = set()\nfor x in set(s):\n    seen.add(x)\n",
+    "constant-return": "for x in set(s):\n    if x.bad:\n        return False\n",
+    # sweep/runner.py's wait() loop: a call on the element itself.
+    "loop-target-call": (
+        "from concurrent.futures import FIRST_COMPLETED, wait\n"
+        "outstanding = set(futures)\n"
+        "while outstanding:\n"
+        "    done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)\n"
+        "    for future in done:\n"
+        "        future.result()\n"
+    ),
+}
+
+
+def _in_function(body: str) -> str:
+    indented = "".join(f"    {line}\n" for line in body.splitlines())
+    return f"def f(self, s, f, ctx, futures):\n{indented}"
+
+
+class TestOrderSinks:
+    """R9 covers every shape the retired R6 flagged, in all simulation code."""
+
+    @pytest.mark.parametrize("package", ["sched", "execlayer"])
+    @pytest.mark.parametrize("shape", sorted(ORDER_OBSERVED))
+    def test_observed_order_is_r9(self, shape, package):
+        body, phrase = ORDER_OBSERVED[shape]
+        findings = analyze_source(_in_function(body), f"src/repro/{package}/x.py")
+        assert [f.rule_id for f in findings] == ["R9"]
+        assert phrase in findings[0].message
+
+    @pytest.mark.parametrize("package", ["sched", "execlayer"])
+    @pytest.mark.parametrize("shape", sorted(ORDER_FREE))
+    def test_order_free_use_is_clean(self, shape, package):
+        source = _in_function(ORDER_FREE[shape])
+        assert analyze_source(source, f"src/repro/{package}/x.py") == []
 
 
 @pytest.fixture
@@ -313,46 +361,18 @@ class TestSuppressions:
         source = 'msg = "# simlint: disable"\n'
         assert analyze_source(source, self.SIM) == []
 
+    # An unregistered id (typo, retired R11/R6, wrong case) fails loudly.
+    @pytest.mark.parametrize("rule_id", ["R99", "R11", "R6", "r2"])
+    def test_unknown_rule_id_is_a_finding(self, rule_id):
+        source = f"import time\nt = time.time()  # simlint: disable={rule_id}\n"
+        findings = analyze_source(source, self.SIM)
+        assert [f.rule_id for f in findings] == ["R2", "S0"]
+        assert findings[1].message == f"unknown simlint rule {rule_id!r}"
 
-class TestBaseline:
-    BAD = "import time\nt = time.time()\n"
-
-    def test_roundtrip_absorbs_known_findings(self, tmp_path):
-        findings = analyze_source(self.BAD, "src/repro/sim/x.py")
-        baseline = Baseline.from_findings(findings)
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        new, baselined = Baseline.load(path).split(findings)
-        assert new == []
-        assert baselined == findings
-
-    def test_baseline_keys_ignore_line_numbers(self):
-        shifted = "\n\n\n" + self.BAD
-        baseline = Baseline.from_findings(
-            analyze_source(self.BAD, "src/repro/sim/x.py")
-        )
-        new, baselined = baseline.split(analyze_source(shifted, "src/repro/sim/x.py"))
-        assert new == []
-        assert len(baselined) == 1
-
-    def test_multiplicity_is_respected(self):
-        # Both call sites strip to exactly the baselined source line.
-        doubled = (
-            "import time\n"
-            "def a():\n    t = time.time()\n    return t\n"
-            "def b():\n    t = time.time()\n    return t\n"
-        )
-        one = analyze_source(self.BAD, "src/repro/sim/x.py")
-        baseline = Baseline.from_findings(one)
-        new, baselined = baseline.split(analyze_source(doubled, "src/repro/sim/x.py"))
-        assert len(baselined) == 1
-        assert len(new) == 1  # the second identical call is NOT grandfathered
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError):
-            Baseline.load(path)
+    def test_unknown_rule_id_is_not_suppressible(self):
+        source = "# simlint: disable-file=all\nx = 1  # simlint: disable=R1, R99\n"
+        findings = analyze_source(source, self.SIM)
+        assert [(f.rule_id, f.line) for f in findings] == [("S0", 2)]
 
 
 class TestCli:
@@ -365,34 +385,26 @@ class TestCli:
 
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("x = 1\n")
-        assert simlint_main([str(tmp_path), "--no-baseline"]) == 0
-        assert "0 new finding(s)" in capsys.readouterr().out
+        assert simlint_main([str(tmp_path)]) == 0
+        assert "simlint: 0 finding(s), 1 file(s), " in capsys.readouterr().out
 
     def test_violations_exit_one(self, tmp_path, capsys):
         self._write_violation(tmp_path)
-        assert simlint_main([str(tmp_path), "--no-baseline"]) == 1
+        assert simlint_main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "R2" in out and "clock.py" in out
 
     def test_missing_path_exits_two(self, tmp_path):
         assert simlint_main([str(tmp_path / "nope")]) == 2
 
-    def test_write_then_enforce_baseline(self, tmp_path, capsys):
-        self._write_violation(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert simlint_main(
-            [str(tmp_path), "--write-baseline", "--baseline", str(baseline)]
-        ) == 0
-        assert simlint_main([str(tmp_path), "--baseline", str(baseline)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
     def test_json_format(self, tmp_path, capsys):
         self._write_violation(tmp_path)
-        assert simlint_main([str(tmp_path), "--no-baseline", "--format", "json"]) == 1
+        assert simlint_main([str(tmp_path), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["new"] and payload["new"][0]["rule"] == "R2"
+        assert set(payload) == {"files_analyzed", "rules", "findings"}
+        assert payload["findings"] and payload["findings"][0]["rule"] == "R2"
+        assert set(payload["findings"][0]) == {"rule", "path", "line", "col", "message"}
         assert len(payload["rules"]) >= 8
-        assert "cache" not in payload
 
     def test_list_rules(self, capsys):
         assert simlint_main(["--list-rules"]) == 0
@@ -402,17 +414,17 @@ class TestCli:
 
     def test_syntax_error_is_a_p0_finding(self, tmp_path, capsys):
         (tmp_path / "broken.py").write_text("def f(:\n")
-        assert simlint_main([str(tmp_path), "--no-baseline"]) == 1
+        assert simlint_main([str(tmp_path)]) == 1
         assert "P0" in capsys.readouterr().out
 
     def test_non_utf8_file_is_a_p0_finding(self, tmp_path, capsys):
         (tmp_path / "latin1.py").write_bytes(b'x = "\xff"\n')
-        assert simlint_main([str(tmp_path), "--no-baseline"]) == 1
+        assert simlint_main([str(tmp_path)]) == 1
         assert "latin1.py:1:6: P0 file is not valid UTF-8" in capsys.readouterr().out
 
     def test_stats_report_per_rule_times(self, tmp_path, capsys):
         self._write_violation(tmp_path)
-        assert simlint_main([str(tmp_path), "--no-baseline", "--stats"]) == 1
+        assert simlint_main([str(tmp_path), "--stats"]) == 1
         err = capsys.readouterr().err
         assert re.search(r"^simlint stats: 1 file\(s\), wall \d+\.\d{3}s$", err, re.M)
         timed = re.findall(r"^ +(R\d+)  check +\d+\.\dms$", err, re.M)
@@ -421,14 +433,14 @@ class TestCli:
 
     def test_tcloud_lint_passes_stats_through(self, tmp_path, capsys):
         self._write_violation(tmp_path)
-        assert tcloud_main(["lint", str(tmp_path), "--no-baseline", "--stats"]) == 1
+        assert tcloud_main(["lint", str(tmp_path), "--stats"]) == 1
         captured = capsys.readouterr()
         assert "R2" in captured.out
         assert "simlint stats:" in captured.err
 
     def test_tcloud_lint_delegates(self, tmp_path, capsys):
         self._write_violation(tmp_path)
-        assert tcloud_main(["lint", str(tmp_path), "--no-baseline"]) == 1
+        assert tcloud_main(["lint", str(tmp_path)]) == 1
         assert "R2" in capsys.readouterr().out
         assert tcloud_main(["lint", "--list-rules"]) == 0
 
@@ -437,10 +449,6 @@ class TestRealTree:
     def test_fixture_directory_is_never_scanned(self):
         report = analyze_paths([FIXTURES])
         assert report.files_analyzed == 0
-
-    def test_shipped_baseline_is_empty(self):
-        baseline = Baseline.load(REPO / "simlint-baseline.json")
-        assert baseline.counts == {}
 
     def test_source_tree_is_clean(self):
         report = analyze_paths([REPO / "src", REPO / "benchmarks"])
