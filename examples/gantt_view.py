@@ -1,7 +1,7 @@
 """Visualising schedules: ASCII Gantt charts of recorded runs.
 
-Records the lifecycle timeline of a small contended workload under three
-policies and renders each as a Gantt chart — the quickest way to *see*
+Runs a small contended workload under three policies and renders each
+run's transition log as a Gantt chart — the quickest way to *see*
 head-of-line blocking, backfill holes, and time-slicing.
 
 Run:  python examples/gantt_view.py
@@ -45,14 +45,12 @@ def run(policy_name, scheduler):
         scheduler,
         Trace(workload()),
         exec_model=UnitExecutionModel(),
-        config=SimConfig(
-            sample_interval_s=0.0, checkpoint_loss_s=0.0, record_timeline=True
-        ),
+        config=SimConfig(sample_interval_s=0.0, checkpoint_loss_s=0.0),
     )
     result = simulator.run()
     print(f"--- {policy_name} (mean wait "
           f"{result.metrics.wait_mean_s / 60.0:.0f} min) ---")
-    print(render_gantt(result.timeline, width=64))
+    print(render_gantt(result.log, width=64))
 
 
 def main() -> None:

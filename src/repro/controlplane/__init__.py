@@ -8,7 +8,7 @@ every move against :data:`LEGAL_TRANSITIONS` and appends it to the
 authoritative :class:`TransitionLog`.
 """
 
-from .controller import ClusterController, ReplicaHost, TimelineEvent
+from .controller import ClusterController, ReplicaHost
 from .lifecycle import (
     LEGAL_TRANSITIONS,
     Actor,
@@ -27,7 +27,6 @@ __all__ = [
     "LifecycleState",
     "ReplicaHost",
     "SimSnapshot",
-    "TimelineEvent",
     "Transition",
     "TransitionLog",
     "fork",

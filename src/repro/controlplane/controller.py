@@ -15,9 +15,9 @@ kills from ``tcloud`` — mutates job and cluster state.  Each mutation:
    the single transition path (illegal edges raise
    :class:`~repro.errors.IllegalTransitionError`);
 3. appends one typed :class:`~repro.controlplane.lifecycle.Transition` to
-   the :class:`~repro.controlplane.lifecycle.TransitionLog` — the single
-   source from which churn counters, the timeline, ``tcloud history``,
-   and the ops report derive.
+   the :class:`~repro.controlplane.lifecycle.TransitionLog` — the run's
+   only lifecycle record, from which churn counters, the Gantt timeline,
+   ``tcloud history``, and the ops report derive.
 
 The simulator keeps what is genuinely *simulation*: the event queue, the
 execution/provisioning/staging models, and attempt-outcome planning.  The
@@ -27,7 +27,7 @@ authoritative record that it happened.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
 from ..cluster.cluster import Cluster
@@ -46,16 +46,6 @@ from .lifecycle import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.metrics import MetricsCollector
-
-
-@dataclass(frozen=True)
-class TimelineEvent:
-    """One recorded lifecycle event (``record_timeline=True`` runs)."""
-
-    time: float
-    kind: str  # submit|reject|start|preempt|requeue|complete|fail|kill|node_down|node_up
-    subject: str  # job id or node id
-    detail: str = ""
 
 
 class ReplicaHost(Protocol):
@@ -83,7 +73,6 @@ class ClusterController:
         *,
         checkpoint_loss_s: float = 30.0,
         max_job_preemptions: int = 0,
-        record_timeline: bool = False,
         record_transitions: bool = True,
     ) -> None:
         self.cluster = cluster
@@ -91,11 +80,9 @@ class ClusterController:
         self.metrics = metrics
         self.checkpoint_loss_s = checkpoint_loss_s
         self.max_job_preemptions = max_job_preemptions
-        self.record_timeline = record_timeline
         self.jobs: dict[JobId, Job] = {}
         self.running: dict[JobId, Job] = {}
         self.log = TransitionLog(retain_records=record_transitions)
-        self.timeline: list[TimelineEvent] = []
         #: Planned outcome per (job, attempt); consumed when the attempt ends.
         self.attempt_outcomes: dict[tuple[JobId, int], AttemptOutcome] = {}
         #: Cumulative running wall time per job (wall-time enforcement).
@@ -372,13 +359,11 @@ class ClusterController:
                 self.scheduler.enqueue(job, now)
         self.metrics.node_failures += 1
         self.metrics.on_healthy_changed(now, self.cluster.healthy_gpus)
-        self._record_infra(now, "node_down", node_id)
         return victim_ids
 
     def apply_node_repair(self, now: float, node_id: NodeId) -> None:
         self.cluster.repair_node(node_id)
         self.metrics.on_healthy_changed(now, self.cluster.healthy_gpus)
-        self._record_infra(now, "node_up", node_id)
 
     # -- internals ----------------------------------------------------------------
 
@@ -405,7 +390,7 @@ class ClusterController:
         actor: Actor,
         detail: str = "",
     ) -> Transition:
-        """The single transition path: validate, log, account, record.
+        """The single transition path: validate, log, account.
 
         The job has just moved from *source* to ``job.lifecycle``; that
         edge must be in :data:`LEGAL_TRANSITIONS`.
@@ -422,32 +407,21 @@ class ClusterController:
         )
         self.log.append(transition)
         self._account(transition)
-        if self.record_timeline:
-            self.timeline.append(
-                TimelineEvent(now, transition.timeline_kind, job.job_id, detail)
-            )
         return transition
 
     def _account(self, transition: Transition) -> None:
-        """Derive churn counters from the transition stream (single source)."""
-        target = transition.target
-        if target is LifecycleState.PREEMPTED:
-            self.metrics.preemptions += 1
-        elif target is LifecycleState.RESTARTING:
-            self.metrics.job_restarts += 1
-        elif target.terminal:
-            self._live_jobs -= 1
-            if self._live_jobs < 0:
-                raise SimulationError(
-                    f"live-job counter went negative at {transition.job_id}; "
-                    "a terminal transition was double-counted"
-                )
-            if transition.cause is Cause.REJECT:
-                self.metrics.rejected_jobs += 1
-            elif transition.cause is Cause.WALLTIME_LIMIT:
-                self.metrics.walltime_kills += 1
-            self.waiting_on.pop(transition.job_id, None)
-            self._on_upstream_terminal(transition)
+        """Retire a job that reached a terminal state: live-job count and
+        dependency bookkeeping.  Churn counts are read from the log."""
+        if not transition.target.terminal:
+            return
+        self._live_jobs -= 1
+        if self._live_jobs < 0:
+            raise SimulationError(
+                f"live-job counter went negative at {transition.job_id}; "
+                "a terminal transition was double-counted"
+            )
+        self.waiting_on.pop(transition.job_id, None)
+        self._on_upstream_terminal(transition)
 
     def _on_upstream_terminal(self, transition: Transition) -> None:
         """Resolve held downstreams when one of their upstreams ends.
@@ -480,7 +454,3 @@ class ClusterController:
                     self.on_deps_ready(transition.time, job_id)
                 else:
                     self.release_deps(transition.time, self.jobs[job_id])
-
-    def _record_infra(self, now: float, kind: str, subject: str) -> None:
-        if self.record_timeline:
-            self.timeline.append(TimelineEvent(now, kind, subject))

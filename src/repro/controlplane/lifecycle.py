@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..workload.job import LifecycleState
 
@@ -158,8 +158,8 @@ class Transition:
 class TransitionLog:
     """Append-only record of every lifecycle transition in a run.
 
-    The single authoritative history: the timeline, churn metrics, the
-    ``tcloud history`` verb, and the ops report all derive from it.
+    The single authoritative history: the Gantt timeline, churn metrics,
+    the ``tcloud history`` verb, and the ops report all derive from it.
 
     ``retain_records=False`` keeps every count exact but drops the record
     objects themselves (``records`` stays empty, :meth:`for_job` returns
@@ -175,6 +175,17 @@ class TransitionLog:
         #: The one counter: (target, cause) -> count, in first-seen order.
         #: Per-target and per-cause totals are its marginals.
         self._by_pair: dict[tuple[LifecycleState, Cause], int] = {}
+
+    @classmethod
+    def merged(cls, logs: Iterable["TransitionLog"]) -> "TransitionLog":
+        """A count-only log holding the summed counts of *logs* (fleet
+        aggregation: every site's transitions counted once, no records)."""
+        fleet = cls(retain_records=False)
+        for log in logs:
+            fleet._total += log._total
+            for pair, count in log._by_pair.items():
+                fleet._by_pair[pair] = fleet._by_pair.get(pair, 0) + count
+        return fleet
 
     def append(self, transition: Transition) -> None:
         if self.retain_records:

@@ -86,17 +86,10 @@ class ExecutionModel:
 
         1.0 means the placement matches the reference conditions; >1 means
         the job runs slower (remaining work stretches); <1 means faster
-        hardware than requested.
+        hardware than requested.  *placement* is one the control plane
+        already accepted (``ClusterController.ensure_startable``).
         """
-        if not placement:
-            raise ValidationError(f"empty placement for job {job.job_id}")
         total = sum(placement.values())
-        floor = job.elastic_min_gpus if job.elastic else job.num_gpus
-        if not floor <= total <= job.num_gpus:
-            raise ValidationError(
-                f"placement provides {total} GPUs, job {job.job_id} "
-                f"accepts [{floor}, {job.num_gpus}]"
-            )
         actual_shape = shape_from_placement(placement, cluster)
         gpu_types = {cluster.node(n).spec.gpu_type for n in placement}
         slowest = min(sorted(gpu_types), key=lambda t: get_gpu_spec(t).relative_speed)

@@ -17,9 +17,8 @@ from ..errors import ConfigError
 from ..execlayer.speedup import ExecutionModel
 from ..sched.base import Scheduler
 from ..sim.simulator import ClusterSimulator, SimConfig, SimulationResult
+from ..sweep.build import build_trace
 from ..sweep.spec import TraceSpec
-from ..workload.models import assign_models
-from ..workload.synth import SyntheticTraceConfig, TraceSynthesizer, tacc_campus, with_load
 from ..workload.trace import Trace
 from ..ops.reports import render_series, render_table, series_to_rows, write_csv
 
@@ -94,12 +93,10 @@ def campus_trace_spec(
     cluster_gpus: int = 176,
     **overrides,
 ) -> TraceSpec:
-    """The :func:`campus_trace` recipe as a declarative sweep spec.
+    """The standard experiment workload as a declarative sweep spec.
 
-    ``sweep.build_trace`` on this spec reproduces :func:`campus_trace`'s
-    construction order exactly (preset → load calibration → synthesis →
-    model assignment), so cell-based experiments match the pre-sweep
-    numbers bit-for-bit.
+    ``sweep.build_trace`` turns it into a trace: preset → load calibration
+    → synthesis → model assignment.
     """
     return TraceSpec(
         days=max(1.0, days * scale),
@@ -117,7 +114,6 @@ def campus_trace(
     days: float = 7.0,
     load: float | None = 0.9,
     cluster_gpus: int = 176,
-    base: SyntheticTraceConfig | None = None,
     **overrides,
 ) -> Trace:
     """The standard experiment workload: campus preset, load-calibrated.
@@ -125,16 +121,9 @@ def campus_trace(
     ``scale`` shortens the horizon (days × scale, floor 1 day) so the same
     experiment runs quickly as a benchmark and fully for the writeup.
     """
-    config = base or tacc_campus(days=max(1.0, days * scale), **overrides)
-    if base is not None and overrides:
-        from dataclasses import replace
-
-        config = replace(config, days=max(1.0, days * scale), **overrides)
-    if load is not None:
-        config = with_load(config, cluster_gpus, load, seed=seed + 777)
-    trace = TraceSynthesizer(config, seed=seed).generate()
-    assign_models(trace, seed=seed)
-    return trace
+    return build_trace(
+        campus_trace_spec(seed, scale, days, load, cluster_gpus, **overrides)
+    )
 
 
 def run_policy(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from ..controlplane.lifecycle import Actor, Cause
+from ..controlplane.lifecycle import Actor, Cause, TransitionLog
 from ..errors import ConfigError, SimulationError
 from ..ids import JobId
 from ..sim.metrics import GoodputMetrics, MetricsCollector, SimMetrics, summarize
@@ -383,7 +383,8 @@ class FederationSimulator:
         fleet_collector = MetricsCollector.merged(
             [site.sim.metrics for site in self.sites], end
         )
-        fleet = summarize(merged, fleet_collector, end)
+        fleet_log = TransitionLog.merged(site.sim.controller.log for site in self.sites)
+        fleet = summarize(merged, fleet_collector, end, fleet_log)
         # Shells are KILLED incarnations, so summarize credits them zero —
         # but their checkpoints survived the move.  Re-credit their
         # retained progress at the fleet level.

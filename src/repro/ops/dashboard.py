@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from ..cluster.cluster import Cluster
 from ..sim.simulator import SimulationResult
 from ..workload.job import Job, JobState
-from .analytics import utilization_series, wait_cdf
+from .analytics import utilization_series
 from .fairness import fairness_summary, gpu_hours_by_entity
 from .fragmentation import snapshot
 from .reports import render_table, sparkline
@@ -87,7 +87,7 @@ def run_report(result: SimulationResult, top_n: int = 5) -> str:
         f"{metrics.rejected_jobs} rejected at submit\n"
     )
     out.write(
-        f"latency: wait p50 {_format_hours(wait_cdf(result.jobs).quantile(0.5))}"
+        f"latency: wait p50 {_format_hours(metrics.wait_percentiles['p50'])}"
         f" / p99 {_format_hours(metrics.wait_percentiles['p99'])},"
         f" JCT mean {_format_hours(metrics.jct_mean_s)}\n"
     )
@@ -125,15 +125,12 @@ def run_report(result: SimulationResult, top_n: int = 5) -> str:
             f" ({perf.nodes_per_attempt:.1f} nodes/attempt,"
             f" blocked-cache hit rate {perf.blocked_cache_hit_rate:.0%})\n"
         )
-    if result.transitions:
-        by_cause: dict[str, int] = {}
-        for transition in result.transitions:
-            by_cause[transition.cause.value] = by_cause.get(transition.cause.value, 0) + 1
-        rendered = ", ".join(f"{cause}={count}" for cause, count in sorted(by_cause.items()))
-        out.write(
-            f"control plane: {len(result.transitions)} lifecycle transitions"
-            f" ({rendered})\n"
+    log = result.log
+    if len(log):
+        rendered = ", ".join(
+            f"{cause}={count}" for cause, count in sorted(log.by_cause().items())
         )
+        out.write(f"control plane: {len(log)} lifecycle transitions ({rendered})\n")
     failures = {k: v for k, v in metrics.failure_taxonomy.items() if v}
     if failures:
         out.write(f"failure taxonomy: {failures}\n")

@@ -1,35 +1,29 @@
 """Timeline analysis and ASCII Gantt rendering.
 
-When a run is recorded (``SimConfig(record_timeline=True)``), its
-:class:`~repro.sim.simulator.TimelineEvent` stream reconstructs every
-job's life as segments — queued, running, terminal — which
+Every run's transition log (``SimulationResult.log``) is its timeline:
+each :class:`~repro.controlplane.lifecycle.Transition` names a job and,
+through its ``timeline_kind``, the event it was (submit, start, preempt,
+complete, ...).  :func:`job_segments` reconstructs every job's life from
+those records as segments — queued, running, terminal — which
 :func:`render_gantt` draws as an ASCII chart.  Invaluable for eyeballing
 *why* a schedule looks the way it does (who blocked whom, where
 preemptions landed) and for teaching examples; not meant for
-thousand-job runs.
+thousand-job runs.  A run with ``record_transitions=False`` keeps counts
+only, so its chart is empty.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import Iterable
 
+from ..controlplane.lifecycle import Transition
 from ..errors import ValidationError
 
 #: Glyphs per segment state.
 _GLYPHS = {"queued": "·", "running": "█", "setup": "░"}
 _TERMINAL_MARKS = {"complete": "✓", "fail": "✗", "kill": "†", "reject": "R"}
-
-_JOB_KINDS = {
-    "submit",
-    "reject",
-    "start",
-    "preempt",
-    "requeue",
-    "complete",
-    "fail",
-    "kill",
-}
 
 
 @dataclass(frozen=True)
@@ -42,8 +36,9 @@ class JobSegment:
     end: float
 
 
-#: Same-timestamp ordering: a job submits before it starts, is evicted
-#: before it re-starts, and terminates last.
+#: The event kinds that shape a segment (a workflow stage's ``hold`` does
+#: not), in same-timestamp order: a job submits before it starts, is
+#: evicted before it re-starts, and terminates last.
 _KIND_ORDER = {
     "submit": 0,
     "reject": 0,
@@ -56,19 +51,19 @@ _KIND_ORDER = {
 }
 
 
-def job_segments(timeline) -> dict[str, list[JobSegment]]:
-    """Reconstruct per-job queued/running segments from a timeline.
+def job_segments(log: Iterable[Transition]) -> dict[str, list[JobSegment]]:
+    """Reconstruct per-job queued/running segments from transition records.
 
     Jobs still live at the end of the recording get an open segment
     closed at the last event's time.
     """
     events = sorted(
-        (e for e in timeline if e.kind in _JOB_KINDS),
-        key=lambda e: (e.time, _KIND_ORDER.get(e.kind, 9)),
+        (t for t in log if t.timeline_kind in _KIND_ORDER),
+        key=lambda t: (t.time, _KIND_ORDER[t.timeline_kind]),
     )
     if not events:
         return {}
-    horizon = max(e.time for e in events)
+    horizon = max(t.time for t in events)
     open_state: dict[str, tuple[str, float]] = {}
     segments: dict[str, list[JobSegment]] = {}
 
@@ -82,31 +77,32 @@ def job_segments(timeline) -> dict[str, list[JobSegment]]:
             segments.setdefault(job_id, [])
 
     for event in events:
-        if event.kind == "submit":
-            open_state[event.subject] = ("queued", event.time)
-            segments.setdefault(event.subject, [])
-        elif event.kind == "reject":
-            segments.setdefault(event.subject, [])
-        elif event.kind == "start":
-            close(event.subject, event.time)
-            open_state[event.subject] = ("running", event.time)
-        elif event.kind in ("preempt", "requeue"):
-            close(event.subject, event.time)
-            open_state[event.subject] = ("queued", event.time)
-        elif event.kind in ("complete", "fail", "kill"):
-            close(event.subject, event.time)
+        kind, job_id = event.timeline_kind, event.job_id
+        if kind == "submit":
+            open_state[job_id] = ("queued", event.time)
+            segments.setdefault(job_id, [])
+        elif kind == "reject":
+            segments.setdefault(job_id, [])
+        elif kind == "start":
+            close(job_id, event.time)
+            open_state[job_id] = ("running", event.time)
+        elif kind in ("preempt", "requeue"):
+            close(job_id, event.time)
+            open_state[job_id] = ("queued", event.time)
+        elif kind in ("complete", "fail", "kill"):
+            close(job_id, event.time)
     for job_id in list(open_state):
         close(job_id, horizon)
     return segments
 
 
 def render_gantt(
-    timeline,
+    log: Iterable[Transition],
     width: int = 72,
     max_jobs: int = 24,
     label_width: int = 12,
 ) -> str:
-    """Render a recorded timeline as an ASCII Gantt chart.
+    """Render a run's transition records as an ASCII Gantt chart.
 
     One row per job (submission order), ``·`` while queued, ``█`` while
     running, with the terminal outcome appended (✓ completed, ✗ failed,
@@ -114,19 +110,21 @@ def render_gantt(
     """
     if width < 10:
         raise ValidationError("gantt width must be at least 10")
-    segments = job_segments(timeline)
+    records = list(log)
+    segments = job_segments(records)
     if not segments:
         return "(empty timeline)\n"
     terminal: dict[str, str] = {}
     submit_order: list[str] = []
-    for event in sorted(timeline, key=lambda e: e.time):
-        if event.kind in ("submit", "reject") and event.subject not in submit_order:
-            submit_order.append(event.subject)
-        if event.kind in _TERMINAL_MARKS:
-            terminal[event.subject] = _TERMINAL_MARKS[event.kind]
+    for event in sorted(records, key=lambda t: t.time):
+        kind, job_id = event.timeline_kind, event.job_id
+        if kind in ("submit", "reject") and job_id not in submit_order:
+            submit_order.append(job_id)
+        if kind in _TERMINAL_MARKS:
+            terminal[job_id] = _TERMINAL_MARKS[kind]
 
-    start = min(e.time for e in timeline)
-    end = max(e.time for e in timeline)
+    start = min(t.time for t in records)
+    end = max(t.time for t in records)
     span = max(end - start, 1e-9)
 
     def column(time: float) -> int:

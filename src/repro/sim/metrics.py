@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..controlplane.lifecycle import Cause, LifecycleState, TransitionLog
 from ..errors import SimulationError
 from ..workload.job import FailureCategory, Job, JobState, JobTier
 
@@ -51,19 +52,15 @@ class Sample:
 
 @dataclass
 class MetricsCollector:
-    """Accumulates counters, the utilization integral, and samples."""
+    """Accumulates the utilization integral, samples, and the counters the
+    transition log does not carry (node failures, setup seconds)."""
 
     total_gpus: int
     samples: list[Sample] = field(default_factory=list)
-    preemptions: int = 0
     node_failures: int = 0
-    job_restarts: int = 0
-    rejected_jobs: int = 0
     provision_seconds: float = 0.0
     stage_seconds: float = 0.0
     transfer_seconds: float = 0.0
-    walltime_kills: int = 0
-    scheduler_passes: int = 0
     _last_time: float = 0.0
     _used_gpus: int = 0
     _used_integral: float = 0.0  # gpu-seconds
@@ -121,24 +118,17 @@ class MetricsCollector:
         Integrals are finalised at the common horizon *now* (every site's
         exact GPU-second integral is evaluated there, so per-site figures
         sum exactly to the fleet figure) and counters are summed.  Samples
-        are not merged — per-site time series stay on the site results.
+        are not merged — per-site time series stay on the site results —
+        and churn counts come from the sites' merged transition logs.
         """
         fleet = cls(total_gpus=sum(c.total_gpus for c in collectors))
         for collector in collectors:
             fleet._used_integral += collector.served_gpu_seconds(now)
             fleet._healthy_integral += collector.healthy_gpu_seconds(now)
-            # Counter aggregation on a fresh collector, not a job lifecycle
-            # write — the underlying transitions were already controller-logged
-            # at their sites.
-            fleet.preemptions += collector.preemptions  # simlint: disable=R3
             fleet.node_failures += collector.node_failures
-            fleet.job_restarts += collector.job_restarts
-            fleet.rejected_jobs += collector.rejected_jobs
             fleet.provision_seconds += collector.provision_seconds
             fleet.stage_seconds += collector.stage_seconds
             fleet.transfer_seconds += collector.transfer_seconds
-            fleet.walltime_kills += collector.walltime_kills
-            fleet.scheduler_passes += collector.scheduler_passes
         fleet._last_time = now
         fleet._healthy_last_time = now
         fleet._used_gpus = 0
@@ -433,7 +423,6 @@ class SimMetrics:
     walltime_kills: int
     failure_taxonomy: dict[str, int]
     gpu_hours_by_lab: dict[str, float]
-    scheduler_passes: int
     #: Inference-serving aggregates; ``None`` for training-only runs, so
     #: their summaries (and the golden tests pinning them) are unchanged.
     serving: ServingMetrics | None = None
@@ -471,9 +460,14 @@ def summarize(
     jobs: dict[str, Job],
     collector: MetricsCollector,
     now: float,
+    log: TransitionLog,
     serving: ServingMetrics | None = None,
 ) -> SimMetrics:
     """Aggregate a finished (or truncated) run into :class:`SimMetrics`.
+
+    Churn counts (preemptions, restarts, rejections, wall-time kills) are
+    read from the run's transition *log*, which counts exactly even when
+    it retains no records.
 
     Service replicas (``job.service_id`` set) are excluded from the
     job-level population: their latency story is request latency, carried
@@ -537,17 +531,16 @@ def summarize(
             tier: (float(np.mean(values)) if values else float("nan"))
             for tier, values in wait_by_tier.items()
         },
-        preemptions=collector.preemptions,
+        preemptions=log.count(target=LifecycleState.PREEMPTED),
         preemptions_by_tier=preempt_by_tier,
         node_failures=collector.node_failures,
-        job_restarts=collector.job_restarts,
-        rejected_jobs=collector.rejected_jobs,
+        job_restarts=log.count(target=LifecycleState.RESTARTING),
+        rejected_jobs=log.count(cause=Cause.REJECT),
         provision_seconds=collector.provision_seconds,
         stage_seconds=collector.stage_seconds,
-        walltime_kills=collector.walltime_kills,
+        walltime_kills=log.count(cause=Cause.WALLTIME_LIMIT),
         failure_taxonomy=taxonomy,
         gpu_hours_by_lab=dict(sorted(gpu_hours_by_lab.items())),
-        scheduler_passes=collector.scheduler_passes,
         serving=serving,
         goodput=goodput,
         workflow=workflow_rollup(population, collector.transfer_seconds),

@@ -29,8 +29,8 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..cluster.cluster import Cluster
-from ..controlplane.controller import ClusterController, TimelineEvent
-from ..controlplane.lifecycle import Actor, Cause, LifecycleState, Transition
+from ..controlplane.controller import ClusterController
+from ..controlplane.lifecycle import Actor, Cause, LifecycleState, TransitionLog
 from ..errors import ConfigError, SimulationError
 from ..execlayer.runtime import RuntimeRegistry
 from ..execlayer.speedup import ExecutionModel, UnitExecutionModel
@@ -88,14 +88,13 @@ class SimConfig:
         max_job_preemptions: A job preempted more than this many times is
             failed with ``PREEMPTION_LIMIT`` instead of requeued forever
             (0 = unlimited).
-        record_timeline: Record every lifecycle event as a
-            :class:`TimelineEvent` on the result (Gantt rendering,
-            debugging).  Off by default: it grows with job count.
         record_transitions: Retain the control plane's individual
-            :class:`Transition` records on the result.  On by default;
-            fleet-scale runs (~1M jobs) turn it off to save gigabytes —
-            all aggregate counts (``log.count``, churn metrics, the ops
-            report's by-cause table) stay exact either way.
+            :class:`~repro.controlplane.lifecycle.Transition` records in
+            the result's log (Gantt rendering, ``tcloud history``).  On by
+            default; fleet-scale runs (~1M jobs) turn it off to save
+            gigabytes — all aggregate counts (``log.count``, churn
+            metrics, the ops report's by-cause table) stay exact either
+            way.
     """
 
     sample_interval_s: float = 600.0
@@ -107,7 +106,6 @@ class SimConfig:
     seed: int = 0
     enforce_walltime: bool = False
     max_job_preemptions: int = 0
-    record_timeline: bool = False
     record_transitions: bool = True
 
 
@@ -123,12 +121,12 @@ class SimulationResult:
     samples: list[Sample]
     end_time: float
     events_processed: int
-    timeline: list["TimelineEvent"] = field(default_factory=list)
-    #: The control plane's full transition log: every lifecycle edge of
-    #: every job, with cause/actor/timestamp.  Empty when the run set
-    #: ``record_transitions=False`` (fleet scale); aggregate counts are
-    #: kept exact on the controller's log either way.
-    transitions: list[Transition] = field(default_factory=list)
+    #: The control plane's transition log, the run's only lifecycle
+    #: record: every edge of every job with cause/actor/timestamp (the
+    #: Gantt timeline and the churn counts derive from it).  Its records
+    #: are empty when the run set ``record_transitions=False`` (fleet
+    #: scale); its counts are exact either way.
+    log: TransitionLog
     #: Hot-path counters (wall time, nodes examined).  Observational only:
     #: excluded from summary() so results stay byte-identical across runs.
     perf: PerfCounters = field(default_factory=PerfCounters)
@@ -165,7 +163,7 @@ class ClusterSimulator:
         self.engine = SimulationEngine()
         self.metrics = MetricsCollector(total_gpus=cluster.total_gpus)
         # The control plane owns all job/cluster mutations; the simulator's
-        # job/running/timeline attributes alias its structures so existing
+        # job/running attributes alias its structures so existing
         # observers (schedulers, dashboards, tests) read the same state.
         self.controller = ClusterController(
             cluster,
@@ -173,12 +171,10 @@ class ClusterSimulator:
             self.metrics,
             checkpoint_loss_s=self.config.checkpoint_loss_s,
             max_job_preemptions=self.config.max_job_preemptions,
-            record_timeline=self.config.record_timeline,
             record_transitions=self.config.record_transitions,
         )
         self.jobs: dict[JobId, Job] = self.controller.jobs
         self.running: dict[JobId, Job] = self.controller.running
-        self.timeline: list[TimelineEvent] = self.controller.timeline
         self._tick_pending = False
         # Static-feasibility verdicts per distinct request shape: node specs
         # never change mid-run, so the answer is a pure function of the shape.
@@ -303,7 +299,9 @@ class ClusterSimulator:
         self.perf.events_dequeued = self.engine.events_processed
         self.perf.peak_pending_events = self.engine.peak_pending
         serving_metrics = self.serving.finalize(now) if self.serving is not None else None
-        metrics = summarize(self.jobs, self.metrics, now, serving=serving_metrics)
+        metrics = summarize(
+            self.jobs, self.metrics, now, self.controller.log, serving=serving_metrics
+        )
         if self.config.debug_invariants > 0:
             self._verify_workflow_bound(metrics)
         return SimulationResult(
@@ -315,8 +313,7 @@ class ClusterSimulator:
             samples=self.metrics.samples,
             end_time=now,
             events_processed=self.engine.events_processed,
-            timeline=self.timeline,
-            transitions=self.controller.log.records,
+            log=self.controller.log,
             perf=self.perf,
         )
 
@@ -412,11 +409,10 @@ class ClusterSimulator:
         )
         self.scheduler.schedule(ctx)
         self.perf.scheduler_passes += 1
-        self.metrics.scheduler_passes += 1
         fraction = self.config.debug_invariants
         if fraction > 0:
             stride = max(1, round(1.0 / fraction))
-            if self.metrics.scheduler_passes % stride == 0:
+            if self.perf.scheduler_passes % stride == 0:
                 self.cluster.verify_invariants()
                 self._verify_no_held_in_queue()
         self._maybe_verify()

@@ -56,9 +56,10 @@ TraceRows = tuple[dict[str, object], ...]
 def build_trace(spec: TraceSpec) -> Trace:
     """Synthesize the trace a :class:`TraceSpec` describes (parent-side).
 
-    The construction order mirrors ``experiments.common.campus_trace``
-    exactly — preset, load calibration, synthesis, model assignment — so
-    cell-based experiments reproduce the pre-sweep numbers bit-for-bit.
+    Construction order: preset, load calibration, synthesis, model
+    assignment.  ``experiments.common.campus_trace`` is this function on
+    ``campus_trace_spec``, so direct and cell-based experiments share one
+    trace path.
     """
     if spec.preset != "tacc-campus":
         raise ConfigError(f"unknown trace preset {spec.preset!r}")

@@ -206,6 +206,28 @@ class TestDashboard:
         assert "lab fairness" in text
         assert "GPU-h served" in text
 
+    def test_run_report_wait_p50_matches_metrics(self):
+        """p50 and p99 on the latency line share SimMetrics' definition."""
+        from repro.cluster import uniform_cluster
+        from repro.execlayer import UnitExecutionModel
+        from repro.ops import run_report
+        from repro.sched import FifoScheduler
+        from repro.sim import SimConfig, simulate
+        from repro.workload import Trace
+        from tests.conftest import make_job
+
+        jobs = [make_job(f"j{i}", num_gpus=8, duration=3600.0) for i in range(2)]
+        result = simulate(
+            uniform_cluster(1, gpus_per_node=8),
+            FifoScheduler(),
+            Trace(jobs),
+            exec_model=UnitExecutionModel(),
+            config=SimConfig(sample_interval_s=0.0),
+        )
+        assert sorted(job.wait_time for job in jobs) == [0.0, 3600.0]
+        assert result.metrics.wait_percentiles["p50"] == 1800.0
+        assert "latency: wait p50 30m / p99" in run_report(result)
+
 
 class TestExperimentsCli:
     def test_list(self, capsys):

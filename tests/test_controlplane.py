@@ -18,6 +18,7 @@ from repro.controlplane import (
 from repro.errors import IllegalTransitionError, JobStateError, SchedulingError
 from repro.sched import GreedyFifoScheduler, QuotaConfig, TieredQuotaScheduler
 from repro.sim import ClusterSimulator, SimConfig
+from repro.sim.metrics import summarize
 from repro.workload import FailureCategory, FailurePlan, JobState, Trace
 from tests.conftest import make_job
 
@@ -283,7 +284,7 @@ class TestControllerPaths:
         jobs = [
             make_job("victim", num_gpus=8, duration=9000.0, lab="lab-b", submit_time=0.0),
         ]
-        sim, _sched, _cluster = quota_sim(jobs, max_job_preemptions=1, record_timeline=True)
+        sim, _sched, _cluster = quota_sim(jobs, max_job_preemptions=1)
         sim.engine.run(until=5.0)
         victim = sim.jobs["victim"]
         assert victim.state is JobState.RUNNING
@@ -294,9 +295,9 @@ class TestControllerPaths:
         assert victim.state is JobState.RUNNING
         sim.controller.preempt(now, victim)  # 2nd: over the limit
         assert victim.state is JobState.FAILED
-        kinds = [e.kind for e in sim.timeline if e.subject == "victim"]
-        assert kinds[-2:] == ["preempt", "fail"]
-        last = sim.controller.log.for_job("victim")[-1]
+        records = sim.controller.log.for_job("victim")
+        assert [t.timeline_kind for t in records[-2:]] == ["preempt", "fail"]
+        last = records[-1]
         assert last.cause is Cause.PREEMPTION_LIMIT
         assert last.target is LifecycleState.FAILED
 
@@ -362,7 +363,8 @@ class TestControllerPaths:
         assert restarts, "no node failure hit a running job in 100h at 2h MTBF"
         assert all(t.actor is Actor.FAILURE_INJECTOR for t in restarts)
         assert all(t.cause is Cause.NODE_FAILURE for t in restarts)
-        assert sim.metrics.job_restarts == len(restarts)
+        metrics = summarize(sim.jobs, sim.metrics, sim.engine.now, sim.controller.log)
+        assert metrics.job_restarts == len(restarts)
 
     def test_counters_derive_from_transition_log(self):
         """Churn counters must equal what the transition log implies."""
@@ -378,13 +380,21 @@ class TestControllerPaths:
             GreedyFifoScheduler(),
             Trace(jobs, name="unit"),
             failure_config=FailureConfig(mtbf_hours=4.0, max_job_restarts=100),
-            config=SimConfig(sample_interval_s=0.0, seed=1),
+            config=SimConfig(sample_interval_s=0.0, seed=1, enforce_walltime=True),
         )
         result = sim.run()
         log = sim.controller.log
         assert result.metrics.job_restarts == log.count(target=LifecycleState.RESTARTING)
         assert result.metrics.preemptions == log.count(target=LifecycleState.PREEMPTED)
         assert result.metrics.rejected_jobs == log.count(cause=Cause.REJECT)
+        assert result.metrics.walltime_kills == log.count(cause=Cause.WALLTIME_LIMIT)
+        # The counts agree with the retained records they summarise.
+        assert result.metrics.walltime_kills == sum(
+            t.cause is Cause.WALLTIME_LIMIT for t in log
+        ) > 0
+        assert result.metrics.job_restarts == sum(
+            t.target is LifecycleState.RESTARTING for t in log
+        ) > 0
         terminal = sum(log.count(target=s) for s in LifecycleState if s.terminal)
         assert terminal == len(jobs)
         assert sim.controller.live_jobs == 0
@@ -507,7 +517,7 @@ class TestServingAttribution:
             serving=fleet,
             sim_config=SimConfig(sample_interval_s=0.0),
         )
-        retire = [t for t in result.transitions if t.cause is Cause.SERVICE_RETIRE]
+        retire = [t for t in result.log if t.cause is Cause.SERVICE_RETIRE]
         assert retire, "fleet never retired a replica"
         assert all(t.actor is Actor.AUTOSCALER for t in retire)
         assert all(t.detail in ("horizon", "scale_down") for t in retire)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster import build_tacc_cluster, uniform_cluster
 from repro.cluster.topology import Locality
-from repro.errors import ConfigError, RuntimeSwitchError, ValidationError
+from repro.errors import ConfigError, RuntimeSwitchError, SchedulingError, ValidationError
 from repro.execlayer import (
     CommMethod,
     ExecModelConfig,
@@ -23,6 +23,9 @@ from repro.execlayer import (
     sync_time_s,
     tree_allreduce_s,
 )
+from repro.sched import GreedyFifoScheduler
+from repro.sim import ClusterSimulator
+from repro.workload import Trace
 from tests.conftest import make_job
 
 
@@ -152,11 +155,22 @@ class TestExecutionModel:
         assert spread / packed < 1.25
 
     def test_placement_must_cover_request(self):
-        cluster = uniform_cluster(2, gpus_per_node=8)
-        model = ExecutionModel()
-        job = make_job(num_gpus=8)
-        with pytest.raises(ValidationError, match="accepts"):
-            model.slowdown(job, {sorted(cluster.nodes)[0]: 4}, cluster)
+        """A short placement is refused by the control plane before the
+        execution model prices it."""
+
+        class ShortChanging(GreedyFifoScheduler):
+            def schedule(self, ctx):
+                for job in list(self.queue):
+                    ctx.start_job(job, {sorted(ctx.cluster.nodes)[0]: 4})
+
+        simulator = ClusterSimulator(
+            uniform_cluster(2, gpus_per_node=8),
+            ShortChanging(),
+            Trace([make_job(num_gpus=8)]),
+            exec_model=ExecutionModel(),
+        )
+        with pytest.raises(SchedulingError, match="accepts"):
+            simulator.run()
 
     def test_ablation_flags(self):
         cluster = build_tacc_cluster()

@@ -296,6 +296,38 @@ class TestGoodputMerge:
         assert final_clones <= set(result.jobs)
 
 
+class TestChurnMerge:
+    def test_fleet_churn_is_sum_of_sites(self):
+        """Fleet churn comes from the sites' merged transition logs."""
+        from repro.sim import FailureConfig
+
+        def site(seed):
+            return ClusterSimulator(
+                cluster=uniform_cluster(2, gpus_per_node=8),
+                scheduler=make_scheduler("gang"),
+                trace=Trace([], name=f"site-{seed}"),
+                failure_config=FailureConfig(mtbf_hours=12.0, max_job_restarts=1),
+                config=SimConfig(seed=seed, enforce_walltime=True),
+            )
+
+        jobs = [
+            make_job(f"job-{index:06d}", num_gpus=8, duration=14400.0,
+                     submit_time=index * 30.0, preemptible=True)
+            for index in range(16)
+        ]
+        jobs.append(make_job("huge", num_gpus=64, submit_time=5.0))
+        result = FederationSimulator(
+            Trace(jobs, name="churn"),
+            [("alpha", site(1)), ("beta", site(2))],
+            policy="least-queued",
+            tick_s=600.0,
+        ).run()
+        for name in ("preemptions", "job_restarts", "rejected_jobs", "walltime_kills"):
+            fleet = getattr(result.metrics, name)
+            assert fleet > 0, name
+            assert fleet == sum(getattr(site.metrics, name) for site in result.sites)
+
+
 class TestFederationReport:
     def test_report_renders(self):
         from repro.ops import federation_report

@@ -76,4 +76,5 @@ def test_fleet_run_used_the_hot_path(fleet_result):
     assert perf.peak_pending_events > 1_000  # event heap under real load
     assert perf.events_dequeued == fleet_result.events_processed
     # record_transitions=False drops records but keeps aggregates exact.
-    assert fleet_result.transitions == []
+    assert list(fleet_result.log) == []
+    assert len(fleet_result.log) > 0

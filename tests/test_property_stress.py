@@ -207,7 +207,6 @@ def test_invariants_with_every_feature_enabled(job_dicts):
             provisioning=True,
             enforce_walltime=True,
             max_job_preemptions=3,
-            record_timeline=True,
             seed=11,
             max_events=500_000,
         ),
@@ -217,7 +216,7 @@ def test_invariants_with_every_feature_enabled(job_dicts):
     # Timeline is consistent with final states.
     from repro.ops import job_segments
 
-    segments = job_segments(result.timeline)
+    segments = job_segments(result.log)
     for job in result.jobs.values():
         if job.first_start_time is not None and job.state is not JobState.RUNNING:
             assert any(s.state == "running" for s in segments.get(job.job_id, []))

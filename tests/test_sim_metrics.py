@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.sim.failures import FailureConfig, FailureInjector
+from repro.controlplane import TransitionLog
 from repro.sim.metrics import MetricsCollector, percentiles, summarize
 from repro.workload import FailureCategory, JobTier
 from tests.conftest import make_job
@@ -69,7 +70,7 @@ class TestSummarize:
         jobs = self.build_population()
         collector = MetricsCollector(total_gpus=8)
         collector.on_used_changed(0.0, 8)
-        metrics = summarize(jobs, collector, now=150.0)
+        metrics = summarize(jobs, collector, 150.0, TransitionLog())
         assert metrics.jobs_total == 3
         assert metrics.jobs_completed == 1
         assert metrics.jobs_failed == 1
@@ -82,7 +83,7 @@ class TestSummarize:
 
     def test_per_tier_and_per_lab_breakdowns(self):
         jobs = self.build_population()
-        metrics = summarize(jobs, MetricsCollector(total_gpus=8), now=150.0)
+        metrics = summarize(jobs, MetricsCollector(total_gpus=8), 150.0, TransitionLog())
         assert metrics.wait_mean_by_tier["guaranteed"] == pytest.approx(25.0)
         assert np.isnan(metrics.wait_mean_by_tier["opportunistic"])
         assert metrics.gpu_hours_by_lab["lab-00"] == pytest.approx(100.0 / 3600.0)
@@ -90,7 +91,7 @@ class TestSummarize:
 
     def test_as_row_shape(self):
         jobs = self.build_population()
-        row = summarize(jobs, MetricsCollector(total_gpus=8), now=150.0).as_row()
+        row = summarize(jobs, MetricsCollector(total_gpus=8), 150.0, TransitionLog()).as_row()
         assert {"completed", "avg_jct_h", "p99_jct_h", "utilization", "makespan_h"} <= set(row)
 
 

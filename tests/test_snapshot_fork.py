@@ -83,7 +83,6 @@ class TestForkRoundTrip:
         # The simulator's views must still alias the controller's state...
         assert forked.jobs is forked.controller.jobs
         assert forked.running is forked.controller.running
-        assert forked.timeline is forked.controller.timeline
         # ...and the perf counters stay shared with the cluster index.
         assert forked.cluster.index.perf is forked.perf
 

@@ -1,18 +1,38 @@
-"""Tests for timeline recording and Gantt reconstruction."""
+"""Tests for the transition-log timeline and Gantt reconstruction."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.cluster import uniform_cluster
+from repro.controlplane import Actor, Cause, LifecycleState, Transition
 from repro.errors import ValidationError
 from repro.execlayer import UnitExecutionModel
-from repro.ops import job_segments, render_gantt
+from repro.ops import job_segments, render_gantt, run_report
 from repro.sched import GangScheduler, GreedyFifoScheduler
 from repro.sim import ClusterSimulator, SimConfig
-from repro.sim.simulator import TimelineEvent
 from repro.workload import FailureCategory, FailurePlan, Trace
 from tests.conftest import make_job
+
+#: Timeline kind -> (source, target, cause) of a transition producing it.
+_EDGES = {
+    "submit": (LifecycleState.PENDING, LifecycleState.ADMITTED, Cause.ADMIT),
+    "start": (LifecycleState.ADMITTED, LifecycleState.RUNNING, Cause.PLACE),
+    "preempt": (LifecycleState.RUNNING, LifecycleState.PREEMPTED, Cause.PREEMPT),
+    "complete": (LifecycleState.RUNNING, LifecycleState.FINISHED, Cause.COMPLETE),
+}
+
+
+def transition(time, kind, job_id):
+    """A synthetic transition record whose ``timeline_kind`` is *kind*."""
+    source, target, cause = _EDGES[kind]
+    record = Transition(job_id, time, source, target, cause, Actor.SIMULATOR, 0)
+    assert record.timeline_kind == kind
+    return record
+
+
+def events(result):
+    return [(t.timeline_kind, t.time, t.job_id) for t in result.log]
 
 
 def run_recorded(jobs, scheduler=None, **config_kwargs):
@@ -24,26 +44,16 @@ def run_recorded(jobs, scheduler=None, **config_kwargs):
         scheduler or GreedyFifoScheduler(),
         Trace(list(jobs)),
         exec_model=UnitExecutionModel(),
-        config=SimConfig(record_timeline=True, **config_kwargs),
+        config=SimConfig(**config_kwargs),
     )
     return simulator.run()
 
 
 class TestRecording:
-    def test_off_by_default(self):
-        cluster = uniform_cluster(1, gpus_per_node=8)
-        result = ClusterSimulator(
-            cluster,
-            GreedyFifoScheduler(),
-            Trace([make_job("a", duration=10.0)]),
-            config=SimConfig(sample_interval_s=0.0),
-        ).run()
-        assert result.timeline == []
-
     def test_happy_path_events(self):
         job = make_job("a", duration=100.0, submit_time=5.0)
         result = run_recorded([job])
-        kinds = [(e.kind, e.time) for e in result.timeline]
+        kinds = [(kind, time) for kind, time, _job in events(result)]
         assert kinds == [("submit", 5.0), ("start", 5.0), ("complete", 105.0)]
 
     def test_failure_and_rejection_events(self):
@@ -53,8 +63,8 @@ class TestRecording:
         ]
         result = run_recorded(jobs)
         by_kind = {}
-        for event in result.timeline:
-            by_kind.setdefault(event.kind, []).append(event.subject)
+        for kind, _time, job_id in events(result):
+            by_kind.setdefault(kind, []).append(job_id)
         assert by_kind["fail"] == ["bad"]
         assert by_kind["reject"] == ["huge"]
 
@@ -64,16 +74,16 @@ class TestRecording:
             make_job("b", num_gpus=8, duration=3000.0, submit_time=10.0, preemptible=True),
         ]
         result = run_recorded(jobs, scheduler=GangScheduler(quantum_s=600.0))
-        kinds = {event.kind for event in result.timeline}
+        kinds = {kind for kind, _time, _job in events(result)}
         assert "preempt" in kinds
 
 
 class TestSegments:
     def test_queued_then_running(self):
         timeline = [
-            TimelineEvent(0.0, "submit", "a"),
-            TimelineEvent(10.0, "start", "a"),
-            TimelineEvent(50.0, "complete", "a"),
+            transition(0.0, "submit", "a"),
+            transition(10.0, "start", "a"),
+            transition(50.0, "complete", "a"),
         ]
         segments = job_segments(timeline)["a"]
         assert [(s.state, s.start, s.end) for s in segments] == [
@@ -83,29 +93,29 @@ class TestSegments:
 
     def test_instant_start_has_no_queued_segment(self):
         timeline = [
-            TimelineEvent(5.0, "submit", "a"),
-            TimelineEvent(5.0, "start", "a"),
-            TimelineEvent(9.0, "complete", "a"),
+            transition(5.0, "submit", "a"),
+            transition(5.0, "start", "a"),
+            transition(9.0, "complete", "a"),
         ]
         segments = job_segments(timeline)["a"]
         assert [s.state for s in segments] == ["running"]
 
     def test_preemption_creates_alternation(self):
         timeline = [
-            TimelineEvent(0.0, "submit", "a"),
-            TimelineEvent(0.0, "start", "a"),
-            TimelineEvent(10.0, "preempt", "a"),
-            TimelineEvent(20.0, "start", "a"),
-            TimelineEvent(30.0, "complete", "a"),
+            transition(0.0, "submit", "a"),
+            transition(0.0, "start", "a"),
+            transition(10.0, "preempt", "a"),
+            transition(20.0, "start", "a"),
+            transition(30.0, "complete", "a"),
         ]
         states = [s.state for s in job_segments(timeline)["a"]]
         assert states == ["running", "queued", "running"]
 
     def test_live_job_closed_at_horizon(self):
         timeline = [
-            TimelineEvent(0.0, "submit", "a"),
-            TimelineEvent(0.0, "start", "a"),
-            TimelineEvent(100.0, "submit", "b"),
+            transition(0.0, "submit", "a"),
+            transition(0.0, "start", "a"),
+            transition(100.0, "submit", "b"),
         ]
         segments = job_segments(timeline)
         assert segments["a"][-1].end == 100.0
@@ -127,19 +137,19 @@ class TestGantt:
             ),
         ]
         result = run_recorded(jobs)
-        text = render_gantt(result.timeline, width=40)
+        text = render_gantt(result.log, width=40)
         assert "job-ok" in text and "✓" in text
         assert "job-oom" in text and "✗" in text
 
     def test_max_jobs_truncation(self):
         jobs = [make_job(f"j{i}", duration=10.0, submit_time=float(i)) for i in range(6)]
         result = run_recorded(jobs)
-        text = render_gantt(result.timeline, width=30, max_jobs=3)
+        text = render_gantt(result.log, width=30, max_jobs=3)
         assert "3 more jobs not shown" in text
 
     def test_width_validation(self):
         with pytest.raises(ValidationError):
-            render_gantt([TimelineEvent(0.0, "submit", "a")], width=5)
+            render_gantt([transition(0.0, "submit", "a")], width=5)
 
     def test_empty_timeline(self):
         assert "(empty timeline)" in render_gantt([])
@@ -151,8 +161,41 @@ class TestGantt:
             for i in range(3)
         ]
         result = run_recorded(jobs, scheduler=GangScheduler(quantum_s=500.0))
-        text = render_gantt(result.timeline, width=60)
+        text = render_gantt(result.log, width=60)
         # Every job alternates running/queued at least once.
         for line in text.splitlines()[1:4]:
             body = line.split("|")[1]
             assert "█" in body and "·" in body
+
+
+class TestSingleSource:
+    """The transition log is every run's timeline: no flag records it."""
+
+    def test_default_run_renders_gantt_from_log(self):
+        result = ClusterSimulator(
+            uniform_cluster(1, gpus_per_node=8),
+            GreedyFifoScheduler(),
+            Trace([make_job("a", duration=600.0), make_job("b", duration=60.0)]),
+            config=SimConfig(),
+        ).run()
+        text = render_gantt(result.log, width=20)
+        assert text.startswith("gantt: 2 jobs")
+        assert "✓" in text
+
+    def test_countonly_run_still_reports_exact_counts(self):
+        jobs = [
+            make_job("a", duration=100.0),
+            make_job("huge", num_gpus=9),  # rejected: infeasible on one node
+        ]
+        result = run_recorded(jobs, record_transitions=False)
+        assert list(result.log) == []
+        assert render_gantt(result.log) == "(empty timeline)\n"
+        assert result.metrics.rejected_jobs == 1
+        line = next(
+            line for line in run_report(result).splitlines()
+            if line.startswith("control plane:")
+        )
+        assert line == (
+            "control plane: 4 lifecycle transitions"
+            " (admit=1, complete=1, place=1, reject=1)"
+        )
