@@ -10,10 +10,9 @@ kills from ``tcloud`` — mutates job and cluster state.  Each mutation:
    (the controller itself writes ADMITTED and PENDING_DEPS), and the
    resource change (allocate/free, placement hooks, utilization
    accounting);
-2. checks the edge the job took against
-   :data:`~repro.controlplane.lifecycle.LEGAL_TRANSITIONS` in ``_apply``,
-   the single transition path (illegal edges raise
-   :class:`~repro.errors.IllegalTransitionError`);
+2. checks the edge the job took against the source state's
+   ``successors`` in ``_apply``, the single transition path (illegal
+   edges raise :class:`~repro.errors.IllegalTransitionError`);
 3. appends one typed :class:`~repro.controlplane.lifecycle.Transition` to
    the :class:`~repro.controlplane.lifecycle.TransitionLog` — the run's
    only lifecycle record, from which churn counters, the Gantt timeline,
@@ -34,15 +33,8 @@ from ..cluster.cluster import Cluster
 from ..errors import IllegalTransitionError, SchedulingError, SimulationError
 from ..ids import JobId, NodeId
 from ..sched.base import Scheduler
-from ..workload.job import FailureCategory, Job, JobState
-from .lifecycle import (
-    LEGAL_TRANSITIONS,
-    Actor,
-    Cause,
-    LifecycleState,
-    Transition,
-    TransitionLog,
-)
+from ..workload.job import FailureCategory, Job
+from .lifecycle import Actor, Cause, LifecycleState, Transition, TransitionLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.metrics import MetricsCollector
@@ -178,9 +170,9 @@ class ClusterController:
 
     def ensure_startable(self, job: Job, placement: dict[NodeId, int]) -> int:
         """Validate a scheduler's start request; returns the granted GPU total."""
-        if job.state is not JobState.QUEUED:
+        if not job.lifecycle.queued:
             raise SchedulingError(
-                f"scheduler tried to start {job.job_id} in state {job.state.value}"
+                f"scheduler tried to start {job.job_id} in state {job.lifecycle.value}"
             )
         total = sum(placement.values())
         floor = job.elastic_min_gpus if job.elastic else job.num_gpus
@@ -197,11 +189,17 @@ class ClusterController:
         job: Job,
         placement: dict[NodeId, int],
         *,
+        granted_gpus: int,
         slowdown: float,
         setup_s: float = 0.0,
     ) -> None:
-        """Allocate resources and move the job to RUNNING."""
-        total = self.ensure_startable(job, placement)
+        """Allocate resources and move the job to RUNNING.
+
+        Precondition: :meth:`ensure_startable` has accepted *placement*
+        for *job* and returned ``granted_gpus``.  This method does not
+        check again; the simulator validates before its execution models
+        draw from the RNG.
+        """
         request = job.request
         self.cluster.allocate(
             job.job_id,
@@ -216,7 +214,7 @@ class ClusterController:
             now,
             tuple(sorted(placement)),
             slowdown,
-            granted_gpus=total,
+            granted_gpus=granted_gpus,
             setup_s=setup_s,
         )
         self.scheduler.notify_start(job, now)
@@ -229,7 +227,7 @@ class ClusterController:
             source,
             Cause.PLACE,
             Actor.SCHEDULER,
-            detail=f"gpus={total} nodes={len(placement)}",
+            detail=f"gpus={granted_gpus} nodes={len(placement)}",
         )
 
     def set_outcome(self, job: Job, outcome: AttemptOutcome) -> None:
@@ -275,9 +273,9 @@ class ClusterController:
 
     def preempt(self, now: float, job: Job) -> None:
         """Gracefully evict a running job (scheduler/quota reclaim)."""
-        if job.state is not JobState.RUNNING:
+        if job.lifecycle is not LifecycleState.RUNNING:
             raise SchedulingError(
-                f"scheduler tried to preempt {job.job_id} in state {job.state.value}"
+                f"scheduler tried to preempt {job.job_id} in state {job.lifecycle.value}"
             )
         # Consent is the policy's call: borrowed runs are evictable even
         # though the job itself (guaranteed tier) is not.
@@ -332,7 +330,7 @@ class ClusterController:
         victim_ids = sorted(self.cluster.fail_node(node_id))
         for job_id in victim_ids:
             job = self.jobs[job_id]
-            if job.state is not JobState.RUNNING:
+            if job.lifecycle is not LifecycleState.RUNNING:
                 continue
             self._release(now, job)
             if job.attempts > max_restarts:
@@ -393,10 +391,10 @@ class ClusterController:
         """The single transition path: validate, log, account.
 
         The job has just moved from *source* to ``job.lifecycle``; that
-        edge must be in :data:`LEGAL_TRANSITIONS`.
+        edge must be one of ``source.successors``.
         """
         target = job.lifecycle
-        if target not in LEGAL_TRANSITIONS[source]:
+        if target not in source.successors:
             raise IllegalTransitionError(
                 f"job {job.job_id}: illegal lifecycle transition "
                 f"{source.value} -> {target.value} "

@@ -1,4 +1,4 @@
-"""The job-lifecycle transition table and its typed record.
+"""The job lifecycle's typed transition record and its log.
 
 Every job in the simulated cluster moves through one explicit lifecycle::
 
@@ -13,14 +13,15 @@ Every job in the simulated cluster moves through one explicit lifecycle::
     deps_release──► ADMITTED or upstream_failed/kill──► KILLED)
 
 The state itself is stored once, on the job
-(:attr:`~repro.workload.job.Job.lifecycle`, a :class:`LifecycleState`);
-``job.state`` is its coarse five-state view.  This module holds what the
-control plane checks and records: :data:`LEGAL_TRANSITIONS`, and the
-frozen :class:`Transition` each move produces, carrying the cause, the
-actor that requested it, and the simulated timestamp.  An edge the table
-does not list raises :class:`~repro.errors.IllegalTransitionError` in the
-controller's single transition path instead of silently corrupting
-metrics — the state machine is the contract, not a convention.
+(:attr:`~repro.workload.job.Job.lifecycle`, a :class:`LifecycleState`),
+and each state lists its legal next states as its own ``successors``.
+This module holds what the control plane records: the frozen
+:class:`Transition` each move produces, carrying the cause, the actor
+that requested it, and the simulated timestamp.  An edge a state's
+``successors`` do not list raises
+:class:`~repro.errors.IllegalTransitionError` in the controller's single
+transition path instead of silently corrupting metrics — the state
+machine is the contract, not a convention.
 """
 
 from __future__ import annotations
@@ -32,50 +33,12 @@ from typing import Iterable, Iterator
 from ..workload.job import LifecycleState
 
 __all__ = [
-    "LEGAL_TRANSITIONS",
     "Actor",
     "Cause",
     "LifecycleState",
     "Transition",
     "TransitionLog",
 ]
-
-#: The complete legal-transition relation.  Anything not listed raises.
-LEGAL_TRANSITIONS: dict[LifecycleState, frozenset[LifecycleState]] = {
-    LifecycleState.PENDING: frozenset(
-        {LifecycleState.PENDING_DEPS, LifecycleState.ADMITTED, LifecycleState.KILLED}
-    ),
-    # Dependency-held stages are invisible to schedulers: the only ways out
-    # are admission (all upstreams finished) or death (an upstream failed /
-    # user kill) — never directly to RUNNING.
-    LifecycleState.PENDING_DEPS: frozenset(
-        {LifecycleState.ADMITTED, LifecycleState.KILLED}
-    ),
-    LifecycleState.ADMITTED: frozenset(
-        {LifecycleState.RUNNING, LifecycleState.KILLED}
-    ),
-    # Every failure is decided on a running attempt, except the
-    # preemption limit, which fails the job right after its eviction.
-    LifecycleState.RUNNING: frozenset(
-        {
-            LifecycleState.FINISHED,
-            LifecycleState.FAILED,
-            LifecycleState.KILLED,
-            LifecycleState.PREEMPTED,
-            LifecycleState.RESTARTING,
-        }
-    ),
-    LifecycleState.PREEMPTED: frozenset(
-        {LifecycleState.RUNNING, LifecycleState.KILLED, LifecycleState.FAILED}
-    ),
-    LifecycleState.RESTARTING: frozenset(
-        {LifecycleState.RUNNING, LifecycleState.KILLED}
-    ),
-    LifecycleState.FINISHED: frozenset(),
-    LifecycleState.KILLED: frozenset(),
-    LifecycleState.FAILED: frozenset(),
-}
-
 
 class Cause(enum.Enum):
     """Why a transition happened (the edge label)."""

@@ -23,6 +23,7 @@ import numpy as np
 from .. import sweep
 from ..sched import QuotaConfig
 from ..sweep import SchedulerSpec, SimCell
+from ..workload.job import LifecycleState
 from .common import ExperimentResult, campus_trace_spec
 
 
@@ -144,7 +145,7 @@ def run_a3_checkpoint_cost(seed: int, scale: float) -> ExperimentResult:
         useful_gpu_h = sum(
             j.duration * j.num_gpus / 3600.0
             for j in result.jobs.values()
-            if j.state.value == "completed"
+            if j.lifecycle is LifecycleState.FINISHED
         )
         rows.append(
             {

@@ -16,7 +16,7 @@ from .. import sweep
 from ..ops.fairness import fairness_summary, jain_index, quota_adherence
 from ..sched import QuotaConfig
 from ..sweep import SchedulerSpec, SimCell
-from ..workload.job import JobTier
+from ..workload.job import JobTier, LifecycleState
 from .common import ExperimentResult, campus_trace_spec
 
 
@@ -42,7 +42,9 @@ def run_f7_quota_tiers(seed: int, scale: float) -> ExperimentResult:
                 "wait_p50_h": float(np.median(waits)) / 3600.0 if waits else float("nan"),
                 "wait_p95_h": float(np.percentile(waits, 95)) / 3600.0 if waits else float("nan"),
                 "preemptions": sum(j.preemptions for j in tier_jobs),
-                "completed": sum(1 for j in tier_jobs if j.state.value == "completed"),
+                "completed": sum(
+                    1 for j in tier_jobs if j.lifecycle is LifecycleState.FINISHED
+                ),
             }
         )
     entitled = rows[0]

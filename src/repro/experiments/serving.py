@@ -19,7 +19,7 @@ import numpy as np
 from .. import sweep
 from ..sched import QuotaConfig
 from ..sweep import SchedulerSpec, ServingSpec, SimCell, TraceSpec
-from ..workload.job import JobTier
+from ..workload.job import JobTier, LifecycleState
 from ..workload.trace import Trace
 from .common import ExperimentResult, campus_trace_spec
 
@@ -216,7 +216,7 @@ def run_s2_serving_colocation(seed: int, scale: float) -> ExperimentResult:
                     else float("nan"),
                     "preemptions": sum(j.preemptions for j in tier_jobs),
                     "completed": sum(
-                        1 for j in tier_jobs if j.state.value == "completed"
+                        1 for j in tier_jobs if j.lifecycle is LifecycleState.FINISHED
                     ),
                 }
             )

@@ -217,7 +217,7 @@ class FederationSimulator:
                 return False
         for site in self.sites:
             for job in site.sim.jobs.values():
-                if not job.state.terminal:
+                if not job.lifecycle.terminal:
                     return False
         return True
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..sim.metrics import Sample
-from ..workload.job import Job, JobState
+from ..workload.job import Job, LifecycleState
 from ..workload.trace import Trace
 
 
@@ -162,7 +162,7 @@ def slowdown_stats(jobs: dict[str, Job] | list[Job]) -> dict[str, float]:
     population = jobs.values() if isinstance(jobs, dict) else jobs
     slowdowns = []
     for job in population:
-        if job.state is not JobState.COMPLETED or job.jct is None:
+        if job.lifecycle is not LifecycleState.FINISHED or job.jct is None:
             continue
         slowdowns.append(job.jct / max(job.duration, 600.0))
     if not slowdowns:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from ..cluster.cluster import Cluster
 from ..sim.simulator import SimulationResult
-from ..workload.job import Job, JobState
+from ..workload.job import Job, LifecycleState
 from .analytics import utilization_series
 from .fairness import fairness_summary, gpu_hours_by_entity
 from .fragmentation import snapshot
@@ -42,7 +42,7 @@ def live_dashboard(cluster: Cluster, jobs: dict[str, Job], now: float, queue_dep
     """Render the instantaneous view of a live cluster."""
     out = io.StringIO()
     frag = snapshot(cluster)
-    running = [job for job in jobs.values() if job.state is JobState.RUNNING]
+    running = [job for job in jobs.values() if job.lifecycle is LifecycleState.RUNNING]
     out.write(f"=== {cluster.name} @ t+{now / 3600.0:.1f}h ===\n")
     out.write(
         f"gpus: {cluster.used_gpus}/{cluster.healthy_gpus} busy"

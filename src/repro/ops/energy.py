@@ -24,7 +24,7 @@ from ..cluster.gpu import get_gpu_spec
 from ..config import require_positive
 from ..errors import ValidationError
 from ..sim.simulator import SimulationResult
-from ..workload.job import JobState
+from ..workload.job import LifecycleState
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def _busy_hours_by_type(result: SimulationResult, cluster: Cluster) -> dict[str,
         gpu_type = cluster.node(job.last_nodes[0]).spec.gpu_type
         hours = job.gpu_seconds_used / 3600.0
         busy[gpu_type] = busy.get(gpu_type, 0.0) + hours
-        if job.state is JobState.COMPLETED:
+        if job.lifecycle is LifecycleState.FINISHED:
             # Productive part excludes redone work after preemptions.
             productive = job.duration * job.num_gpus / 3600.0
             useful[gpu_type] = useful.get(gpu_type, 0.0) + min(productive, hours)

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping
 from ..cluster.cluster import Cluster
 from ..errors import SchedulingError
 from ..ids import JobId, NodeId
-from ..workload.job import Job, JobState
+from ..workload.job import Job
 from .placement.base import PlacementPolicy
 from .placement.first_fit import FirstFitPlacement
 
@@ -82,9 +82,9 @@ class Scheduler(abc.ABC):
 
     def enqueue(self, job: Job, now: float) -> None:
         """Admit a job to the pending queue (arrival or post-preemption)."""
-        if job.state is not JobState.QUEUED:
+        if not job.lifecycle.queued:
             raise SchedulingError(
-                f"cannot enqueue job {job.job_id} in state {job.state.value}"
+                f"cannot enqueue job {job.job_id} in state {job.lifecycle.value}"
             )
         if job.job_id in self._queue:
             raise SchedulingError(f"job {job.job_id} is already queued")

@@ -27,7 +27,7 @@ from dataclasses import replace
 
 from ..config import require_positive
 from ..ids import NodeId
-from ..workload.job import Job, JobState
+from ..workload.job import Job
 from .base import ScheduleContext, Scheduler
 from .placement.base import PlacementPolicy
 
@@ -123,9 +123,9 @@ class ElasticScheduler(Scheduler):
         """
         queued = sorted(self.queue, key=lambda j: (j.submit_time, j.job_id))
         for job in queued:
-            if job.state is not JobState.QUEUED:
+            if not job.lifecycle.queued:
                 continue
-            competitors = sum(1 for j in queued if j.state is JobState.QUEUED)
+            competitors = sum(1 for j in queued if j.lifecycle.queued)
             cap: int | None = None
             if job.elastic and competitors > 1:
                 cap = max(job.elastic_min_gpus, ctx.cluster.free_gpus // competitors)
@@ -141,7 +141,7 @@ class ElasticScheduler(Scheduler):
         # 1. Admit the queue, widest (fair) grant that fits, FIFO order.
         self._admit(ctx)
 
-        still_queued = [job for job in self.queue if job.state is JobState.QUEUED]
+        still_queued = [job for job in self.queue if job.lifecycle.queued]
         if still_queued:
             # 2. Shrink to admit: one resize per pass, widest grant first.
             candidates = self._resizable(ctx, ctx.now, shrinking=True)

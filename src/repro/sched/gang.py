@@ -16,7 +16,7 @@ running first); the queue is then served least-recently-run first.
 from __future__ import annotations
 
 from ..config import require_positive
-from ..workload.job import Job, JobState
+from ..workload.job import Job
 from .base import ScheduleContext, Scheduler
 from .placement.base import PlacementPolicy
 
@@ -63,7 +63,7 @@ class GangScheduler(Scheduler):
                 ctx.preempt_job(job)
 
         for job in sorted(self.queue, key=self._rotation_key):
-            if job.state is not JobState.QUEUED:
+            if not job.lifecycle.queued:
                 continue
             placement = self.try_place(ctx, job)
             if placement is not None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from ..errors import QuotaError
 from ..ids import JobId, LabId
-from ..workload.job import Job, JobState, JobTier
+from ..workload.job import Job, JobTier
 from .base import ScheduleContext, Scheduler, drain_order
 from .placement.base import PlacementPolicy
 
@@ -134,7 +134,7 @@ class TieredQuotaScheduler(Scheduler):
         entitled = [job for job in self.queue if self.is_entitled(job, ctx)]
         entitled.sort(key=lambda job: (job.submit_time, job.job_id))
         for job in entitled:
-            if job.state is not JobState.QUEUED:
+            if not job.lifecycle.queued:
                 continue
             if not self.is_entitled(job, ctx):
                 continue  # an earlier start in this pass consumed the headroom
@@ -150,7 +150,7 @@ class TieredQuotaScheduler(Scheduler):
         best_effort = [
             job
             for job in self.queue
-            if job.state is JobState.QUEUED and not self.is_entitled(job, ctx)
+            if job.lifecycle.queued and not self.is_entitled(job, ctx)
         ]
         best_effort.sort(key=lambda job: (job.submit_time, job.job_id))
         for job in best_effort:

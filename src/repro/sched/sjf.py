@@ -70,7 +70,7 @@ class SrtfScheduler(OrderedQueueScheduler):
 
         super().schedule(ctx)  # plain greedy pass first
         for job in self.ordered_queue(ctx.now):
-            if job.state.value != "queued":
+            if not job.lifecycle.queued:
                 continue
             candidates = [
                 running

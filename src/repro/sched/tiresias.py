@@ -15,7 +15,7 @@ starvation is avoided by promoting jobs whose queue wait exceeds the
 from __future__ import annotations
 
 from ..config import require_positive
-from ..workload.job import Job, JobState
+from ..workload.job import Job, LifecycleState
 from .base import ScheduleContext, Scheduler, drain_order, eligible_victims
 from .placement.base import PlacementPolicy
 
@@ -58,7 +58,7 @@ class TiresiasScheduler(Scheduler):
     def attained_service(self, job: Job, now: float) -> float:
         """GPU-seconds of service attained, including the live segment."""
         attained = job.gpu_seconds_used
-        if job.state is JobState.RUNNING and job.last_start_time is not None:
+        if job.lifecycle is LifecycleState.RUNNING and job.last_start_time is not None:
             attained += (now - job.last_start_time) * job.num_gpus
         return attained
 
@@ -84,7 +84,7 @@ class TiresiasScheduler(Scheduler):
             ),
         )
         for job in ordered:
-            if job.state is not JobState.QUEUED:
+            if not job.lifecycle.queued:
                 continue
             placement = self.try_place(ctx, job)
             if placement is None and self.queue_index(job, ctx.now) == 0:

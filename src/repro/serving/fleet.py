@@ -36,7 +36,7 @@ from ..execlayer.comm import shape_from_placement
 from ..ids import NodeId, ServiceId
 from ..sim.events import RequestRateChange, ServiceScaleDown, ServiceScaleUp
 from ..sim.metrics import ServingMetrics
-from ..workload.job import Job, JobState
+from ..workload.job import Job, LifecycleState
 from .autoscaler import AutoscalerConfig, SloAutoscaler
 from .demand import RateCurve, ServiceLoadConfig, synthesize_rate_curve
 from .latency import slo_attainment
@@ -167,8 +167,8 @@ class ServingFleet:
         surge = service.live_replicas(ReplicaRole.SURGE)
         # Retire queued surge first (they hold no GPUs), then the youngest
         # running ones; dict order is launch order, so reversed() = youngest.
-        queued = [r for r in reversed(surge) if r.job.state is JobState.QUEUED]
-        running = [r for r in reversed(surge) if r.job.state is JobState.RUNNING]
+        queued = [r for r in reversed(surge) if r.job.lifecycle.queued]
+        running = [r for r in reversed(surge) if r.job.lifecycle is LifecycleState.RUNNING]
         retired = 0
         for replica in queued + running:
             if retired >= event.count:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ValidationError
 from ..ids import JobId, LabId, ServiceId, UserId
-from ..workload.job import Job, JobState, JobTier, ResourceRequest
+from ..workload.job import Job, JobTier, LifecycleState, ResourceRequest
 from ..workload.models import get_model_profile
 
 
@@ -115,12 +115,12 @@ class Replica:
 
     @property
     def running(self) -> bool:
-        return self.job.state is JobState.RUNNING and self.rate_rps is not None
+        return self.job.lifecycle is LifecycleState.RUNNING and self.rate_rps is not None
 
     @property
     def live(self) -> bool:
         """Still scheduled or schedulable (counts toward the desired fleet)."""
-        return not self.job.state.terminal
+        return not self.job.lifecycle.terminal
 
 
 @dataclass

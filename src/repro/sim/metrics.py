@@ -22,7 +22,7 @@ import numpy as np
 
 from ..controlplane.lifecycle import Cause, LifecycleState, TransitionLog
 from ..errors import SimulationError
-from ..workload.job import FailureCategory, Job, JobState, JobTier
+from ..workload.job import FailureCategory, Job, JobTier
 
 
 def percentiles(
@@ -335,7 +335,7 @@ def workflow_rollup(
         ends = [job.end_time for job in group if job.end_time is not None]
         makespan = (max(ends) - min(submits)) if ends else float("nan")
         critical_path = _critical_path_s(group)
-        complete = all(job.state is JobState.COMPLETED for job in group)
+        complete = all(job.lifecycle is LifecycleState.FINISHED for job in group)
         per_workflow[workflow_id] = {
             "stages": float(len(group)),
             "makespan_s": makespan,
@@ -391,7 +391,7 @@ def productive_gpu_seconds(jobs: Iterable[Job]) -> float:
     for job in jobs:
         if job.service_id is not None:
             total += job.gpu_seconds_used
-        elif job.state is JobState.COMPLETED or not job.state.terminal:
+        elif job.lifecycle is LifecycleState.FINISHED or not job.lifecycle.terminal:
             total += job.productive_gpu_seconds
     return total
 
@@ -477,10 +477,10 @@ def summarize(
     them — serving capacity is real capacity.
     """
     population = [job for job in jobs.values() if job.service_id is None]
-    completed = [j for j in population if j.state is JobState.COMPLETED]
-    failed = [j for j in population if j.state is JobState.FAILED]
-    killed = [j for j in population if j.state is JobState.KILLED]
-    unfinished = [j for j in population if not j.state.terminal]
+    completed = [j for j in population if j.lifecycle is LifecycleState.FINISHED]
+    failed = [j for j in population if j.lifecycle is LifecycleState.FAILED]
+    killed = [j for j in population if j.lifecycle is LifecycleState.KILLED]
+    unfinished = [j for j in population if not j.lifecycle.terminal]
 
     jcts = [j.jct for j in completed if j.jct is not None]
     waits = [j.wait_time for j in population if j.wait_time is not None]

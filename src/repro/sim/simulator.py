@@ -39,7 +39,7 @@ from ..ids import JobId, NodeId
 from ..perf import PerfCounters
 from ..sched.base import ScheduleContext, Scheduler
 from ..sched.placement.base import request_chunks
-from ..workload.job import FailureCategory, Job, JobState
+from ..workload.job import FailureCategory, Job
 from ..workload.trace import Trace
 from .engine import SimulationEngine
 from .events import (
@@ -275,7 +275,7 @@ class ClusterSimulator:
         job = self.jobs.get(job_id)
         if job is None:
             raise SimulationError(f"unknown job {job_id}")
-        if job.state.terminal:
+        if job.lifecycle.terminal:
             return
         now = self.engine.now
         self.controller.kill(
@@ -321,7 +321,7 @@ class ClusterSimulator:
 
     def _on_arrival(self, now: float, event: JobArrival) -> None:
         job = self.jobs[event.job_id]
-        if job.state.terminal:
+        if job.lifecycle.terminal:
             return  # killed while still pending (tcloud cancel before arrival)
         if not self._admit_partition(job) or not self._statically_feasible(job):
             self.controller.reject(now, job)
@@ -419,7 +419,7 @@ class ClusterSimulator:
 
     def _on_finish(self, now: float, event: JobFinish) -> None:
         job = self.jobs[event.job_id]
-        if job.attempts != event.attempt or job.state is not JobState.RUNNING:
+        if job.attempts != event.attempt or job.lifecycle is not LifecycleState.RUNNING:
             return  # stale event from a preempted/killed attempt
         outcome, category = self.controller.pop_outcome(job.job_id, event.attempt)
         self.controller.finish(now, job, outcome, category)
@@ -496,7 +496,12 @@ class ClusterSimulator:
                 self.metrics.transfer_seconds += fetch_s
 
         self.controller.start(
-            now, job, placement, slowdown=slowdown, setup_s=provision_s
+            now,
+            job,
+            placement,
+            granted_gpus=total,
+            slowdown=slowdown,
+            setup_s=provision_s,
         )
 
         outcome: tuple[str, FailureCategory | None] = ("complete", None)

@@ -29,8 +29,18 @@ from ..schema.validate import ValidationIssue, ensure_valid
 from ..sched.backfill import EasyBackfillScheduler
 from ..sched.base import Scheduler
 from ..sim.simulator import ClusterSimulator, SimConfig
-from ..workload.job import Job, JobState
+from ..workload.job import Job, LifecycleState
 from ..workload.trace import Trace
+
+
+def status_word(state: LifecycleState) -> str:
+    """``tcloud``'s wire word for *state*: queued, running, completed,
+    failed or killed (every waiting state reads as queued)."""
+    if state.queued:
+        return "queued"
+    if state is LifecycleState.FINISHED:
+        return "completed"
+    return state.value
 
 
 @dataclass(frozen=True)
@@ -102,7 +112,7 @@ class TaccFrontend:
         """Advance until *job_id* reaches a terminal state (or the cap)."""
         job = self._job(job_id)
         deadline = self.now + max_seconds
-        while not job.state.terminal and self.now < deadline:
+        while not job.lifecycle.terminal and self.now < deadline:
             next_time = self.sim.engine.peek_time()
             if next_time is None:
                 break
@@ -147,18 +157,18 @@ class TaccFrontend:
     def status(self, job_id: JobId) -> JobStatus:
         job = self._job(job_id)
         queue_position: int | None = None
-        if job.state is JobState.QUEUED:
+        if job.lifecycle.queued:
             queued = sorted(self.scheduler.queue, key=lambda j: (j.submit_time, j.job_id))
             ids = [j.job_id for j in queued]
             queue_position = ids.index(job.job_id) + 1 if job.job_id in ids else None
         progress = job.work_done / job.duration if job.duration else 0.0
-        if job.state is JobState.RUNNING and job.last_start_time is not None:
+        if job.lifecycle is LifecycleState.RUNNING and job.last_start_time is not None:
             live = (self.now - job.last_start_time) / job.current_slowdown
             progress = min(1.0, (job.work_done + live) / job.duration)
         return JobStatus(
             job_id=job.job_id,
             name=job.name,
-            state=job.state.value,
+            state=status_word(job.lifecycle),
             queue_position=queue_position,
             nodes=job.current_nodes,
             submitted_at=job.submit_time,
@@ -191,8 +201,8 @@ class TaccFrontend:
                 loss = 2.5 * (1.0 + step) ** -0.35  # deterministic decay curve
                 lines.append(f"[{node}] step {step}/{total_steps} loss={loss:.4f}")
             streams[node] = lines
-        if job.state.terminal:
-            marker = f"[frontend] job {job.job_id} {job.state.value}"
+        if job.lifecycle.terminal:
+            marker = f"[frontend] job {job.job_id} {status_word(job.lifecycle)}"
             streams.setdefault("frontend", []).append(marker)
         return streams
 

@@ -6,7 +6,6 @@ from .job import (
     FailureCategory,
     FailurePlan,
     Job,
-    JobState,
     JobTier,
     LifecycleState,
     ResourceRequest,
@@ -48,7 +47,6 @@ __all__ = [
     "FailurePlan",
     "FleetTraceSynthesizer",
     "Job",
-    "JobState",
     "JobTier",
     "LifecycleState",
     "ModelProfile",

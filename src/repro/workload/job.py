@@ -10,7 +10,7 @@ a job's lifetime can span several run attempts.
 Each job stores exactly one state, its :class:`LifecycleState`
 (``job.lifecycle``).  The transition methods below write the state they
 mean; the control plane writes ADMITTED and PENDING_DEPS itself, checks
-every edge against its legal-transition table and logs it::
+every edge against ``source.successors`` and logs it::
 
     PENDING ──admit──▶ ADMITTED ──start──▶ RUNNING ──complete──▶ FINISHED
        │ (deps_hold)      ▲                 │ │ │ └──fail──────▶ FAILED
@@ -20,11 +20,12 @@ every edge against its legal-transition table and logs it::
     (PREEMPTED / RESTARTING ──start──▶ RUNNING again; PREEMPTED may fail
     at the preemption limit; any live state may be killed)
 
-``job.state`` is the read-only five-state :class:`JobState` view of it:
-PENDING, PENDING_DEPS, ADMITTED, PREEMPTED and RESTARTING all read as
-QUEUED, FINISHED reads as COMPLETED.  The fine state keeps *why* a job is
-queued (fresh, held, evicted, crashed), which operational metrics and the
-timeline need.  Terminal states are FINISHED, FAILED and KILLED.
+Each member carries that relation as ``successors``, written once below
+the class, and two flags derived from it: ``terminal`` (no successors:
+FINISHED, FAILED and KILLED) and ``queued`` (live but not RUNNING:
+PENDING, PENDING_DEPS, ADMITTED, PREEMPTED and RESTARTING).  The fine
+state keeps *why* a job is queued (fresh, held, evicted, crashed), which
+operational metrics and the timeline need.
 """
 
 from __future__ import annotations
@@ -36,24 +37,15 @@ from ..errors import JobStateError, ValidationError
 from ..ids import JobId, LabId, UserId
 
 
-class JobState(enum.Enum):
-    QUEUED = "queued"
-    RUNNING = "running"
-    COMPLETED = "completed"
-    FAILED = "failed"
-    KILLED = "killed"
-
-    @property
-    def terminal(self) -> bool:
-        return self in (JobState.COMPLETED, JobState.FAILED, JobState.KILLED)
-
-
 class LifecycleState(enum.Enum):
     """Where a job is in its life: the one stored state of a :class:`Job`."""
 
-    #: The coarse five-state view (set for every member below the class).
-    job_state: JobState
+    #: The legal next states (set for every member below the class).
+    successors: frozenset[LifecycleState]
+    #: No successors: the job is done.
     terminal: bool
+    #: Live and not RUNNING: the job waits for a start.
+    queued: bool
 
     PENDING = "pending"  # submitted, arrival not yet processed
     PENDING_DEPS = "pending_deps"  # workflow stage held on upstream stages
@@ -66,22 +58,30 @@ class LifecycleState(enum.Enum):
     FAILED = "failed"
 
 
-# Plain member attributes, not a dict: ``job.state`` and ``terminal`` are
-# read on every scheduling decision, and enum hashing is a Python call.
-for _state, _coarse in (
-    (LifecycleState.PENDING, JobState.QUEUED),
-    (LifecycleState.PENDING_DEPS, JobState.QUEUED),
-    (LifecycleState.ADMITTED, JobState.QUEUED),
-    (LifecycleState.RUNNING, JobState.RUNNING),
-    (LifecycleState.PREEMPTED, JobState.QUEUED),
-    (LifecycleState.RESTARTING, JobState.QUEUED),
-    (LifecycleState.FINISHED, JobState.COMPLETED),
-    (LifecycleState.KILLED, JobState.KILLED),
-    (LifecycleState.FAILED, JobState.FAILED),
+# The complete legal-transition relation; the control plane raises on any
+# edge it does not list.  Plain member attributes, not a dict: the flags
+# are read on every scheduling decision, and enum hashing is a Python call.
+_S = LifecycleState
+for _state, _successors in (
+    (_S.PENDING, (_S.PENDING_DEPS, _S.ADMITTED, _S.KILLED)),
+    # Dependency-held stages are invisible to schedulers: the only ways out
+    # are admission (all upstreams finished) or death (an upstream failed /
+    # user kill), never directly to RUNNING.
+    (_S.PENDING_DEPS, (_S.ADMITTED, _S.KILLED)),
+    (_S.ADMITTED, (_S.RUNNING, _S.KILLED)),
+    # Every failure is decided on a running attempt, except the preemption
+    # limit, which fails the job right after its eviction.
+    (_S.RUNNING, (_S.FINISHED, _S.FAILED, _S.KILLED, _S.PREEMPTED, _S.RESTARTING)),
+    (_S.PREEMPTED, (_S.RUNNING, _S.KILLED, _S.FAILED)),
+    (_S.RESTARTING, (_S.RUNNING, _S.KILLED)),
+    (_S.FINISHED, ()),
+    (_S.KILLED, ()),
+    (_S.FAILED, ()),
 ):
-    _state.job_state = _coarse
-    _state.terminal = _coarse.terminal
-del _state, _coarse
+    _state.successors = frozenset(_successors)
+    _state.terminal = not _successors
+    _state.queued = not _state.terminal and _state is not _S.RUNNING
+del _S, _state, _successors
 
 
 class JobTier(enum.Enum):
@@ -294,11 +294,6 @@ class Job:
         return self.end_time - self.submit_time
 
     @property
-    def state(self) -> JobState:
-        """The coarse five-state view of :attr:`lifecycle` (read-only)."""
-        return self.lifecycle.job_state
-
-    @property
     def finished(self) -> bool:
         return self.lifecycle.terminal
 
@@ -330,11 +325,11 @@ class Job:
 
     # -- transitions ---------------------------------------------------------
 
-    def _require_state(self, expected: JobState, action: str) -> None:
-        if self.state is not expected:
+    def _require_state(self, ok: bool, action: str, expected: str) -> None:
+        if not ok:
             raise JobStateError(
                 f"cannot {action} job {self.job_id}: state is "
-                f"{self.state.value}, expected {expected.value}"
+                f"{self.lifecycle.value}, expected {expected}"
             )
 
     def start(
@@ -352,9 +347,11 @@ class Job:
         is the provisioning/staging head of this attempt: resources are
         held (GPU-seconds accrue) but no *work* progresses during it.
         """
-        self._require_state(JobState.QUEUED, "start")
+        self._require_state(self.lifecycle.queued, "start", "queued")
         if slowdown <= 0:
             raise ValidationError(f"slowdown must be positive, got {slowdown}")
+        if setup_s < 0:
+            raise ValidationError(f"setup_s must be non-negative, got {setup_s}")
         if now < self.submit_time:
             raise JobStateError(
                 f"job {self.job_id} started at {now} before submission "
@@ -372,8 +369,6 @@ class Job:
         self.last_start_time = now
         if self.first_start_time is None:
             self.first_start_time = now
-        if setup_s < 0:
-            raise ValidationError(f"setup_s must be non-negative, got {setup_s}")
         self.current_slowdown = slowdown
         self.current_nodes = nodes
         self.last_nodes = nodes
@@ -401,7 +396,7 @@ class Job:
         ``checkpoint_loss`` seconds of completed work are lost (re-done on
         the next attempt), modelling checkpoint granularity.
         """
-        self._require_state(JobState.RUNNING, "preempt")
+        self._require_state(self.lifecycle is LifecycleState.RUNNING, "preempt", "running")
         self._accrue(now)
         before = self.remaining_work
         self.remaining_work = min(self.duration, self.remaining_work + checkpoint_loss)
@@ -423,7 +418,7 @@ class Job:
         Unlike :meth:`preempt` there is no graceful checkpoint: when
         ``work_lost`` the whole current attempt's progress is discarded.
         """
-        self._require_state(JobState.RUNNING, "requeue")
+        self._require_state(self.lifecycle is LifecycleState.RUNNING, "requeue", "running")
         if work_lost:
             assert self.last_start_time is not None
             elapsed = max(0.0, now - self.last_start_time)
@@ -436,7 +431,7 @@ class Job:
 
     def complete(self, now: float) -> None:
         """RUNNING → FINISHED; remaining work must be exhausted."""
-        self._require_state(JobState.RUNNING, "complete")
+        self._require_state(self.lifecycle is LifecycleState.RUNNING, "complete", "running")
         self._accrue(now)
         if self.remaining_work > 1e-6:
             raise JobStateError(
@@ -457,9 +452,9 @@ class Job:
         """
         if self.lifecycle is LifecycleState.RUNNING:
             self._accrue(now)
-        elif self.state is not JobState.QUEUED:
+        elif not self.lifecycle.queued:
             raise JobStateError(
-                f"cannot fail job {self.job_id}: state is {self.state.value}"
+                f"cannot fail job {self.job_id}: state is {self.lifecycle.value}"
             )
         self.lifecycle = LifecycleState.FAILED
         self.failure_category = category
@@ -470,7 +465,7 @@ class Job:
     def kill(self, now: float) -> None:
         """Any live state → KILLED (user cancellation)."""
         if self.lifecycle.terminal:
-            raise JobStateError(f"cannot kill job {self.job_id}: already {self.state.value}")
+            raise JobStateError(f"cannot kill job {self.job_id}: already {self.lifecycle.value}")
         if self.lifecycle is LifecycleState.RUNNING:
             self._accrue(now)
         self.lifecycle = LifecycleState.KILLED

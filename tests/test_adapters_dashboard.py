@@ -16,7 +16,7 @@ from repro.schema import (
     spec_to_yaml,
     parse_task_text,
 )
-from repro.workload import JobState, load_public_trace
+from repro.workload import LifecycleState, load_public_trace
 
 PHILLY_CSV = """jobid,user,vc,submitted_time,duration,gpus,status
 app_1,alice,vc-ml,2017-10-03 10:00:00,3600,4,Pass
@@ -78,9 +78,9 @@ class TestPublicTraceAdapters:
             trace,
             config=SimConfig(sample_interval_s=0.0),
         )
-        states = {job.job_id: job.state for job in result.jobs.values()}
-        assert states["app_1"] is JobState.COMPLETED
-        assert states["app_2"] is JobState.FAILED
+        states = {job.job_id: job.lifecycle for job in result.jobs.values()}
+        assert states["app_1"] is LifecycleState.FINISHED
+        assert states["app_2"] is LifecycleState.FAILED
 
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -7,19 +7,12 @@ import itertools
 import pytest
 
 from repro.cluster import uniform_cluster
-from repro.controlplane import (
-    LEGAL_TRANSITIONS,
-    Actor,
-    Cause,
-    LifecycleState,
-    Transition,
-    TransitionLog,
-)
+from repro.controlplane import Actor, Cause, LifecycleState, Transition, TransitionLog
 from repro.errors import IllegalTransitionError, JobStateError, SchedulingError
 from repro.sched import GreedyFifoScheduler, QuotaConfig, TieredQuotaScheduler
 from repro.sim import ClusterSimulator, SimConfig
 from repro.sim.metrics import summarize
-from repro.workload import FailureCategory, FailurePlan, JobState, Trace
+from repro.workload import FailureCategory, FailurePlan, Trace
 from tests.conftest import make_job
 
 #: Minimal (cause, actor) choice per target state, for matrix probing.
@@ -63,7 +56,7 @@ class TestLifecycleMatrix:
         # the controller's single transition path then judges the edge.
         job.lifecycle = target
         cause, actor = _EDGE_LABEL[target]
-        if target in LEGAL_TRANSITIONS[source]:
+        if target in source.successors:
             transition = controller._apply(1.0, job, source, cause, actor)
             assert transition.source is source
             assert transition.target is target
@@ -74,21 +67,15 @@ class TestLifecycleMatrix:
             assert len(controller.log) == 0  # nothing recorded on rejection
 
     def test_matrix_shape(self):
-        # Every state has an entry; terminal states have no outgoing edges.
-        assert set(LEGAL_TRANSITIONS) == set(LifecycleState)
-        for state in LifecycleState:
-            assert bool(LEGAL_TRANSITIONS[state]) != state.terminal
         # Every failure is decided on a running attempt, or right after an
         # eviction at the preemption limit.
         failed_from = {
-            source
-            for source, targets in LEGAL_TRANSITIONS.items()
-            if LifecycleState.FAILED in targets
+            source for source in LifecycleState if LifecycleState.FAILED in source.successors
         }
         assert failed_from == {LifecycleState.RUNNING, LifecycleState.PREEMPTED}
 
     def test_real_table_has_exactly_seventeen_edges(self):
-        legal_count = sum(len(targets) for targets in LEGAL_TRANSITIONS.values())
+        legal_count = sum(len(state.successors) for state in LifecycleState)
         assert legal_count == 17
 
     def test_illegal_transition_is_a_job_state_error(self):
@@ -100,37 +87,33 @@ class TestLifecycleMatrix:
                 0.0, job, LifecycleState.FINISHED, Cause.PLACE, Actor.SCHEDULER
             )
 
-    def test_job_state_projection(self):
-        assert LifecycleState.PENDING.job_state is JobState.QUEUED
-        assert LifecycleState.ADMITTED.job_state is JobState.QUEUED
-        assert LifecycleState.PENDING_DEPS.job_state is JobState.QUEUED
-        assert LifecycleState.PREEMPTED.job_state is JobState.QUEUED
-        assert LifecycleState.RESTARTING.job_state is JobState.QUEUED
-        assert LifecycleState.RUNNING.job_state is JobState.RUNNING
-        assert LifecycleState.FINISHED.job_state is JobState.COMPLETED
-        assert LifecycleState.KILLED.job_state is JobState.KILLED
-        assert LifecycleState.FAILED.job_state is JobState.FAILED
-        for state in LifecycleState:
-            assert state.terminal is state.job_state.terminal
+    def test_terminal_and_queued_sets(self):
+        """Both flags derive from ``successors``: terminal states have none,
+        and every other state but RUNNING waits for a start."""
+        S = LifecycleState
+        terminal = {state for state in S if state.terminal}
+        queued = {state for state in S if state.queued}
+        assert terminal == {S.FINISHED, S.KILLED, S.FAILED}
+        assert queued == {S.PENDING, S.PENDING_DEPS, S.ADMITTED, S.PREEMPTED, S.RESTARTING}
+        for state in S:
+            assert state.terminal is (not state.successors)
 
     def test_job_stores_one_state(self):
-        """``job.state`` is a read-only view of the one stored lifecycle."""
+        """``job.lifecycle`` is the job's only state attribute."""
         job = make_job("job-x")
         assert job.lifecycle is LifecycleState.PENDING
-        assert job.state is JobState.QUEUED
+        assert job.lifecycle.queued
         job.start(0.0, ("node-0",))
         assert job.lifecycle is LifecycleState.RUNNING
         job.preempt(10.0)
         assert job.lifecycle is LifecycleState.PREEMPTED
-        assert job.state is JobState.QUEUED
+        assert job.lifecycle.queued
         job.start(20.0, ("node-0",))
         job.requeue(30.0)
         assert job.lifecycle is LifecycleState.RESTARTING
         job.kill(40.0)
-        assert job.lifecycle is LifecycleState.KILLED
-        assert job.state is JobState.KILLED and job.finished
-        with pytest.raises(AttributeError):
-            job.state = JobState.RUNNING
+        assert job.lifecycle is LifecycleState.KILLED and job.finished
+        assert not hasattr(job, "state")  # no second view to drift from it
 
 
 class TestTransitionRecords:
@@ -255,7 +238,7 @@ class TestControllerPaths:
             sim, scheduler, cluster = quota_sim(borrower())
             sim.engine.run(until=10.0)
             victim = sim.jobs["victim"]
-            assert victim.state is JobState.RUNNING
+            assert victim.lifecycle is LifecycleState.RUNNING
             assert scheduler.is_preemptible(victim)  # borrowed => reclaimable
             assert not victim.preemptible  # ...without mutating the job itself
             if mode == "kill":
@@ -287,14 +270,14 @@ class TestControllerPaths:
         sim, _sched, _cluster = quota_sim(jobs, max_job_preemptions=1)
         sim.engine.run(until=5.0)
         victim = sim.jobs["victim"]
-        assert victim.state is JobState.RUNNING
+        assert victim.lifecycle is LifecycleState.RUNNING
         now = sim.engine.now
         sim.controller.preempt(now, victim)  # 1st preemption: requeued
-        assert victim.state is JobState.QUEUED
+        assert victim.lifecycle.queued
         sim._run_scheduler_pass(now)  # restarts it as a borrower
-        assert victim.state is JobState.RUNNING
+        assert victim.lifecycle is LifecycleState.RUNNING
         sim.controller.preempt(now, victim)  # 2nd: over the limit
-        assert victim.state is JobState.FAILED
+        assert victim.lifecycle is LifecycleState.FAILED
         records = sim.controller.log.for_job("victim")
         assert [t.timeline_kind for t in records[-2:]] == ["preempt", "fail"]
         last = records[-1]
@@ -305,11 +288,10 @@ class TestControllerPaths:
         job = make_job("a", duration=100.0)
         sim, _sched, cluster = quota_sim([job])
         sim.run()
-        assert job.state is JobState.COMPLETED
+        assert job.lifecycle is LifecycleState.FINISHED
+        # Through the start callback schedulers call, which validates once.
         with pytest.raises(SchedulingError):
-            sim.controller.start(
-                sim.engine.now, job, {next(iter(cluster.nodes)): 1}, slowdown=1.0
-            )
+            sim._start_job(sim.engine.now, job, {next(iter(cluster.nodes)): 1})
 
     def test_double_admit_raises_illegal_transition(self):
         job = make_job("a", duration=100.0, submit_time=0.0)
@@ -322,9 +304,9 @@ class TestControllerPaths:
         job = make_job("late", duration=100.0, submit_time=50.0)
         sim, _sched, _cluster = quota_sim([job])
         sim.kill_job("late")  # cancelled before its arrival event fires
-        assert job.state is JobState.KILLED
+        assert job.lifecycle is LifecycleState.KILLED
         result = sim.run()
-        assert job.state is JobState.KILLED
+        assert job.lifecycle is LifecycleState.KILLED
         assert result.metrics.rejected_jobs == 0
         transitions = sim.controller.log.for_job("late")
         assert [t.target for t in transitions] == [LifecycleState.KILLED]
@@ -405,7 +387,7 @@ def _taken_edges(sim):
 
 
 class TestEdgeCoverage:
-    """The edges real runs take equal ``LEGAL_TRANSITIONS`` exactly.
+    """The edges real runs take equal the ``successors`` relation exactly.
 
     An edge a code path takes but the table lacks raises
     ``IllegalTransitionError`` in the scenarios below; a table edge no
@@ -430,7 +412,7 @@ class TestEdgeCoverage:
             config=SimConfig(sample_interval_s=0.0, record_transitions=True),
         )
         sim.run()
-        assert sim.jobs["down-ok"].state is JobState.COMPLETED
+        assert sim.jobs["down-ok"].lifecycle is LifecycleState.FINISHED
         assert sim.jobs["down-bad"].lifecycle is LifecycleState.KILLED
         return sim
 
@@ -486,9 +468,7 @@ class TestEdgeCoverage:
 
     def test_runs_take_exactly_the_table_edges(self):
         table = {
-            (source, target)
-            for source, targets in LEGAL_TRANSITIONS.items()
-            for target in targets
+            (source, target) for source in LifecycleState for target in source.successors
         }
         taken = set().union(
             _taken_edges(self._workflow_run()),

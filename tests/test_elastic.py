@@ -9,7 +9,7 @@ from repro.errors import JobStateError, ValidationError
 from repro.execlayer import ExecutionModel, UnitExecutionModel
 from repro.sched import ElasticScheduler, grant_candidates
 from repro.sim import ClusterSimulator, SimConfig
-from repro.workload import JobState, Trace
+from repro.workload import LifecycleState, Trace
 from tests.conftest import make_job
 
 
@@ -125,7 +125,7 @@ class TestElasticScheduler:
         # e2 started long before e1's full runtime elapsed.
         assert jobs[1].first_start_time < 3600.0
         assert result.metrics.preemptions >= 1
-        assert all(job.state is JobState.COMPLETED for job in jobs)
+        assert all(job.lifecycle is LifecycleState.FINISHED for job in jobs)
 
     def test_queued_job_takes_widest_fitting_grant(self):
         jobs = [
@@ -133,7 +133,7 @@ class TestElasticScheduler:
             elastic_job("e1", num_gpus=8, min_gpus=2, duration=1000.0, submit_time=1.0),
         ]
         run_trace(ElasticScheduler(), jobs, exec_model=UnitExecutionModel(), until=2.0)
-        assert jobs[1].state is JobState.RUNNING
+        assert jobs[1].lifecycle is LifecycleState.RUNNING
         assert jobs[1].current_gpus == 4  # widest grant that fit
 
     def test_grow_into_idleness(self):
@@ -144,8 +144,8 @@ class TestElasticScheduler:
         scheduler = ElasticScheduler(tick_s=300.0, resize_cooldown_s=300.0)
         _result, _ = run_trace(scheduler, jobs, exec_model=UnitExecutionModel(), until=20_000.0)
         # e2 finished long ago; e1 should have been regrown to full width.
-        assert jobs[1].state is JobState.COMPLETED
-        assert jobs[0].state is JobState.RUNNING
+        assert jobs[1].lifecycle is LifecycleState.FINISHED
+        assert jobs[0].lifecycle is LifecycleState.RUNNING
         assert jobs[0].current_gpus == 8
 
     def test_rigid_jobs_never_resized(self):

@@ -11,7 +11,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments import EXPERIMENTS, fresh_trace_copy, run_experiment
 from repro.experiments.common import campus_trace
-from repro.workload import JobState
 
 SCALE = 0.15
 SEED = 3
@@ -137,7 +136,7 @@ class TestHelpers:
         trace = campus_trace(seed=0, scale=0.1, days=1.0, load=0.5)
         trace.jobs[0].start(trace.jobs[0].submit_time + 1, ("n",))
         copy = fresh_trace_copy(trace)
-        assert copy.jobs[0].state is JobState.QUEUED
+        assert copy.jobs[0].lifecycle.queued
         assert copy.jobs[0].job_id == trace.jobs[0].job_id
         assert len(copy) == len(trace)
 

@@ -25,7 +25,7 @@ from repro.federation.routing import route_first_feasible, route_home
 from repro.sched import make_scheduler
 from repro.sim.simulator import ClusterSimulator, SimConfig
 from repro.sweep.spec import ClusterSpec, SchedulerSpec
-from repro.workload import Job, ResourceRequest
+from repro.workload import Job, LifecycleState, ResourceRequest
 from repro.workload.trace import Trace
 
 from .conftest import make_job
@@ -208,7 +208,7 @@ class TestMigration:
             assert base not in finals, "two live incarnations of one job"
             finals[base] = job
         assert len(finals) == 16
-        assert all(job.state.name == "COMPLETED" for job in finals.values())
+        assert all(job.lifecycle is LifecycleState.FINISHED for job in finals.values())
 
     def test_migration_budget_respected(self):
         result = two_site(max_migrations_per_job=1).run()

@@ -113,7 +113,7 @@ class TestBlockedVerdictCache:
         simulator.run()
         result_queue = simulator.scheduler.queue_depth
         assert result_queue == 0
-        assert all(job.state.terminal for job in simulator.jobs.values())
+        assert all(job.lifecycle.terminal for job in simulator.jobs.values())
 
     def test_attempts_per_pass_stay_bounded(self):
         """The anomaly signature: attempts growing with passes on a stuck

@@ -20,7 +20,7 @@ from repro.sched import (
     make_scheduler,
 )
 from repro.sim import FailureConfig, SimConfig, simulate
-from repro.workload import JobState, assign_models, with_load, tacc_campus, TraceSynthesizer
+from repro.workload import assign_models, with_load, tacc_campus, TraceSynthesizer
 
 
 def campus_run(scheduler_name="backfill-easy", seed=21, load=0.9, days=2.0, **kwargs):
@@ -46,8 +46,7 @@ def campus_run(scheduler_name="backfill-easy", seed=21, load=0.9, days=2.0, **kw
 class TestSystemInvariants:
     def test_every_job_reaches_terminal_state(self):
         result, _cluster, trace = campus_run()
-        states = {job.state for job in result.jobs.values()}
-        assert states <= {JobState.COMPLETED, JobState.FAILED, JobState.KILLED}
+        assert all(job.lifecycle.terminal for job in result.jobs.values())
         assert result.metrics.jobs_unfinished == 0
 
     def test_cluster_empty_after_quiescence(self):
@@ -71,7 +70,7 @@ class TestSystemInvariants:
                 config=SimConfig(seed=9, sample_interval_s=0.0),
             )
             return [
-                (j.job_id, j.state.value, j.first_start_time, j.end_time, j.preemptions)
+                (j.job_id, j.lifecycle.value, j.first_start_time, j.end_time, j.preemptions)
                 for j in result.jobs.values()
             ]
 

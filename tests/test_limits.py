@@ -8,7 +8,7 @@ from repro.cluster import uniform_cluster
 from repro.execlayer import UnitExecutionModel
 from repro.sched import GangScheduler, GreedyFifoScheduler
 from repro.sim import ClusterSimulator, SimConfig
-from repro.workload import FailureCategory, JobState, Trace
+from repro.workload import FailureCategory, LifecycleState, Trace
 from tests.conftest import make_job
 
 
@@ -30,14 +30,14 @@ class TestWalltimeEnforcement:
     def test_overrunning_job_killed_at_limit(self):
         job = make_job("a", duration=5000.0, walltime_estimate=1000.0)
         result = run_jobs([job], enforce_walltime=True)
-        assert job.state is JobState.KILLED
+        assert job.lifecycle is LifecycleState.KILLED
         assert job.end_time == pytest.approx(1000.0)
         assert result.metrics.walltime_kills == 1
 
     def test_job_within_limit_unaffected(self):
         job = make_job("a", duration=500.0, walltime_estimate=1000.0)
         result = run_jobs([job], enforce_walltime=True)
-        assert job.state is JobState.COMPLETED
+        assert job.lifecycle is LifecycleState.FINISHED
         assert result.metrics.walltime_kills == 0
 
     def test_limit_is_cumulative_across_attempts(self):
@@ -53,7 +53,7 @@ class TestWalltimeEnforcement:
         result = run_jobs(
             jobs, scheduler=GangScheduler(quantum_s=600.0), enforce_walltime=True
         )
-        assert jobs[0].state is JobState.KILLED
+        assert jobs[0].lifecycle is LifecycleState.KILLED
         run_wall = jobs[0].gpu_seconds_used / 8
         assert run_wall == pytest.approx(1500.0, abs=1.0)
         assert jobs[0].end_time > 1500.0  # wall clock includes queued slices
@@ -61,7 +61,7 @@ class TestWalltimeEnforcement:
     def test_disabled_by_default(self):
         job = make_job("a", duration=5000.0, walltime_estimate=1000.0)
         run_jobs([job])
-        assert job.state is JobState.COMPLETED
+        assert job.lifecycle is LifecycleState.FINISHED
 
 
 class TestPreemptionLimit:
@@ -77,7 +77,7 @@ class TestPreemptionLimit:
             scheduler=GangScheduler(quantum_s=600.0),
             max_job_preemptions=2,
         )
-        failed = [j for j in jobs if j.state is JobState.FAILED]
+        failed = [j for j in jobs if j.lifecycle is LifecycleState.FAILED]
         assert failed
         assert all(j.failure_category is FailureCategory.PREEMPTION_LIMIT for j in failed)
         assert result.metrics.failure_taxonomy["preemption_limit"] == len(failed)
@@ -89,12 +89,12 @@ class TestPreemptionLimit:
         ]
         result = run_jobs(jobs, scheduler=GangScheduler(quantum_s=600.0))
         assert result.metrics.preemptions > 3
-        assert all(j.state is JobState.COMPLETED for j in jobs)
+        assert all(j.lifecycle is LifecycleState.FINISHED for j in jobs)
 
     def test_fail_from_queued_state_allowed(self):
         job = make_job("a")
         job.fail(5.0, FailureCategory.PREEMPTION_LIMIT)
-        assert job.state is JobState.FAILED
+        assert job.lifecycle is LifecycleState.FAILED
         assert job.end_time == 5.0
 
     def test_fail_from_terminal_still_rejected(self):

@@ -12,7 +12,7 @@ from repro.experiments.common import ExperimentResult
 from repro.sched import GreedyFifoScheduler
 from repro.sched.base import drain_order
 from repro.sim import ClusterSimulator, SimConfig
-from repro.workload import JobState, Trace
+from repro.workload import LifecycleState, Trace
 from tests.conftest import make_job
 
 
@@ -116,7 +116,7 @@ class TestFeatureInterplay:
                 seed=0,
             ),
         ).run()
-        assert job.state is JobState.KILLED
+        assert job.lifecycle is LifecycleState.KILLED
         # Setup (provisioning + staging) alone exceeds the limit; the
         # enforcement point is the end of setup, so zero work ran and the
         # job died as soon as its allocation became interruptible.
@@ -156,8 +156,8 @@ class TestFeatureInterplay:
         ).run(until=5000.0)
         # Granted 4 of 8 GPUs → ~2x stretch → ~1800 s needed > 1000 s limit.
         assert elastic.current_gpus in (0, 4)
-        assert elastic.state in (JobState.KILLED, JobState.RUNNING)
-        if elastic.state is JobState.KILLED:
+        assert elastic.lifecycle in (LifecycleState.KILLED, LifecycleState.RUNNING)
+        if elastic.lifecycle is LifecycleState.KILLED:
             assert elastic.end_time - elastic.first_start_time == pytest.approx(
                 1000.0, abs=1.0
             )
@@ -182,7 +182,7 @@ class TestFeatureInterplay:
                                          max_job_restarts=50),
             config=SimConfig(sample_interval_s=0.0, seed=2),
         ).run()
-        assert job.state is JobState.COMPLETED
+        assert job.lifecycle is LifecycleState.FINISHED
         assert job.attempts > 1
         # Restarts on the same (only) node hit the cache: exactly one cold stage.
         assert storage.cache_hits == storage.stage_count - 1

@@ -21,7 +21,7 @@ from repro.cluster import uniform_cluster
 from repro.execlayer import UnitExecutionModel
 from repro.sched import SCHEDULERS, QuotaConfig, TieredQuotaScheduler, make_scheduler
 from repro.sim import ClusterSimulator, SimConfig
-from repro.workload import JobState, JobTier, Trace
+from repro.workload import JobTier, LifecycleState, Trace
 from tests.conftest import make_job
 
 job_strategy = st.builds(
@@ -80,13 +80,13 @@ def test_invariants_hold_for_any_workload_and_policy(job_dicts, policy):
     for job in result.jobs.values():
         # Terminal (the horizon is far beyond any job's needs) unless a
         # time-slicing policy is still rotating at the horizon.
-        if job.state is JobState.RUNNING:
+        if job.lifecycle is LifecycleState.RUNNING:
             assert build_scheduler(policy).tick_interval() is not None or False
         if job.first_start_time is not None:
             assert job.first_start_time >= job.submit_time
         if job.end_time is not None and job.first_start_time is not None:
             assert job.end_time >= job.first_start_time
-        if job.state is JobState.COMPLETED:
+        if job.lifecycle is LifecycleState.FINISHED:
             assert job.remaining_work == pytest.approx(0.0, abs=1e-6)
             # Rigid jobs at unit slowdown: gpu-seconds = duration × width
             # plus any checkpoint-redone work.
@@ -127,7 +127,7 @@ def test_same_seed_replays_identically(job_dicts, policy):
             config=SimConfig(sample_interval_s=0.0, seed=7, max_events=500_000),
         ).run(until=20 * 86400.0)
         return [
-            (j.job_id, j.state.value, j.first_start_time, j.end_time, j.attempts)
+            (j.job_id, j.lifecycle.value, j.first_start_time, j.end_time, j.attempts)
             for j in result.jobs.values()
         ]
 
@@ -218,7 +218,7 @@ def test_invariants_with_every_feature_enabled(job_dicts):
 
     segments = job_segments(result.log)
     for job in result.jobs.values():
-        if job.first_start_time is not None and job.state is not JobState.RUNNING:
+        if job.first_start_time is not None and job.lifecycle is not LifecycleState.RUNNING:
             assert any(s.state == "running" for s in segments.get(job.job_id, []))
 
 

@@ -9,7 +9,7 @@ from repro.cluster import uniform_cluster
 from repro.errors import QuotaError
 from repro.sched import GangScheduler, QuotaConfig, TieredQuotaScheduler, TiresiasScheduler
 from repro.sim import ClusterSimulator, SimConfig
-from repro.workload import JobState, JobTier, Trace
+from repro.workload import JobTier, LifecycleState, Trace
 from tests.conftest import make_job
 
 
@@ -32,7 +32,7 @@ class TestGangScheduler:
         ]
         result, _ = run_trace(GangScheduler(quantum_s=600.0), jobs)
         # Both complete, and b got a slice long before a finished.
-        assert all(job.state is JobState.COMPLETED for job in jobs)
+        assert all(job.lifecycle is LifecycleState.FINISHED for job in jobs)
         assert result.metrics.preemptions >= 2
         assert jobs[1].first_start_time < 3600.0
 
@@ -57,7 +57,7 @@ class TestGangScheduler:
             for i, name in enumerate(("a", "b", "c"))
         ]
         run_trace(GangScheduler(quantum_s=500.0), jobs)
-        assert all(job.state is JobState.COMPLETED for job in jobs)
+        assert all(job.lifecycle is LifecycleState.FINISHED for job in jobs)
         # Everyone ran well before the 6000s a serial schedule would need
         # for the last job's first slice.
         assert max(job.first_start_time for job in jobs) <= 1500.0
@@ -75,7 +75,7 @@ class TestTiresias:
         assert jobs[0].preemptions >= 1
         # The short job got in long before the hog finished.
         assert jobs[1].first_start_time < 2500.0
-        assert all(job.state is JobState.COMPLETED for job in jobs)
+        assert all(job.lifecycle is LifecycleState.FINISHED for job in jobs)
 
     def test_high_queue_job_not_preempted_by_equal(self):
         scheduler = TiresiasScheduler(queue_threshold_gpu_s=1e9)
@@ -149,7 +149,7 @@ class TestTieredQuota:
         result, _ = run_trace(scheduler, jobs)
         assert jobs[1].first_start_time == pytest.approx(500.0)
         assert jobs[0].preemptions == 1
-        assert all(job.state is JobState.COMPLETED for job in jobs)
+        assert all(job.lifecycle is LifecycleState.FINISHED for job in jobs)
 
     def test_guaranteed_never_preempted_within_quota(self):
         scheduler = TieredQuotaScheduler(self.quota())

@@ -230,14 +230,14 @@ class TestFleetEndToEnd:
         assert result.metrics.jobs_total == len(trace)
         replicas = [j for j in result.jobs.values() if j.service_id is not None]
         assert replicas, "fleet launched no replicas"
-        assert all(j.state.terminal for j in replicas)
+        assert all(j.lifecycle.terminal for j in replicas)
 
     def test_all_replicas_retired_at_horizon(self):
         result, _ = run_fleet(days=0.5, trace_days=0.5)
         replicas = [j for j in result.jobs.values() if j.service_id is not None]
         horizon = 0.5 * 86400.0
         for job in replicas:
-            assert job.state.terminal
+            assert job.lifecycle.terminal
             if job.end_time is not None:
                 assert job.end_time <= horizon + 1e-6
 

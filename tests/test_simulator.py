@@ -12,7 +12,7 @@ from repro.sim import ClusterSimulator, FailureConfig, SimConfig, simulate
 from repro.workload import (
     FailureCategory,
     FailurePlan,
-    JobState,
+    LifecycleState,
     Trace,
     assign_models,
     synthesize,
@@ -33,7 +33,7 @@ class TestBasicExecution:
     def test_single_job_exact_times(self):
         job = make_job("a", duration=100.0, submit_time=10.0)
         result, cluster = run_jobs([job])
-        assert job.state is JobState.COMPLETED
+        assert job.lifecycle is LifecycleState.FINISHED
         assert job.first_start_time == 10.0
         assert job.end_time == 110.0
         assert result.metrics.jobs_completed == 1
@@ -58,7 +58,7 @@ class TestBasicExecution:
             trace,
             config=SimConfig(verify_every=10, sample_interval_s=0.0),
         )
-        completed = [j for j in result.jobs.values() if j.state is JobState.COMPLETED]
+        completed = [j for j in result.jobs.values() if j.lifecycle is LifecycleState.FINISHED]
         expected = sum(j.duration * j.num_gpus for j in completed)
         served_to_completed = sum(j.gpu_seconds_used for j in completed)
         assert served_to_completed == pytest.approx(expected, rel=1e-6)
@@ -78,7 +78,7 @@ class TestBasicExecution:
                 config=SimConfig(sample_interval_s=0.0),
             )
             return [
-                (j.job_id, j.state.value, j.first_start_time, j.end_time)
+                (j.job_id, j.lifecycle.value, j.first_start_time, j.end_time)
                 for j in result.jobs.values()
             ]
 
@@ -116,7 +116,7 @@ class TestScriptedFailures:
             failure_plan=FailurePlan(FailureCategory.USER_ERROR, 0.1),
         )
         result, _cluster = run_jobs([job])
-        assert job.state is JobState.FAILED
+        assert job.lifecycle is LifecycleState.FAILED
         assert job.failure_category is FailureCategory.USER_ERROR
         assert job.end_time == pytest.approx(100.0)
         assert result.metrics.jobs_failed == 1
@@ -133,7 +133,7 @@ class TestScriptedFailures:
             make_job("b", num_gpus=16, gpus_per_node=8, duration=100.0),
         ]
         run_jobs(jobs)
-        assert jobs[0].state is JobState.FAILED
+        assert jobs[0].lifecycle is LifecycleState.FAILED
         assert jobs[1].first_start_time == pytest.approx(500.0)
 
 
@@ -141,7 +141,7 @@ class TestInfeasibleJobs:
     def test_oversized_job_rejected_at_arrival(self):
         job = make_job("a", num_gpus=9)  # single chunk > node size
         result, _cluster = run_jobs([job])
-        assert job.state is JobState.KILLED
+        assert job.lifecycle is LifecycleState.KILLED
         assert result.metrics.rejected_jobs == 1
 
     def test_wrong_gpu_type_rejected(self):
@@ -160,7 +160,7 @@ class TestInfeasibleJobs:
             make_job("b", num_gpus=1, submit_time=1.0, duration=10.0),
         ]
         run_jobs(jobs, scheduler=FifoScheduler())
-        assert jobs[1].state is JobState.COMPLETED
+        assert jobs[1].lifecycle is LifecycleState.FINISHED
 
 
 class TestNodeFailures:
@@ -178,7 +178,7 @@ class TestNodeFailures:
         )
         result = simulator.run()
         assert result.metrics.node_failures > 0
-        assert job.state is JobState.COMPLETED
+        assert job.lifecycle is LifecycleState.FINISHED
         assert job.attempts > 1
         cluster.verify_invariants()
 
@@ -194,7 +194,7 @@ class TestNodeFailures:
             config=SimConfig(sample_interval_s=0.0, seed=1, max_events=200_000),
         )
         simulator.run(until=400 * 3600.0)
-        assert job.state is JobState.FAILED
+        assert job.lifecycle is LifecycleState.FAILED
         assert job.failure_category is FailureCategory.HARDWARE
 
 
@@ -229,7 +229,7 @@ class TestDynamicSubmission:
         job = make_job("a", duration=60.0)
         simulator.submit_job(job)
         simulator.engine.run()
-        assert job.state is JobState.COMPLETED
+        assert job.lifecycle is LifecycleState.FINISHED
 
     def test_duplicate_or_past_submission_rejected(self):
         simulator = self.build()
@@ -246,9 +246,9 @@ class TestDynamicSubmission:
         job = make_job("a", num_gpus=8, duration=10_000.0)
         simulator.submit_job(job)
         simulator.engine.run(until=100.0)
-        assert job.state is JobState.RUNNING
+        assert job.lifecycle is LifecycleState.RUNNING
         simulator.kill_job("a")
-        assert job.state is JobState.KILLED
+        assert job.lifecycle is LifecycleState.KILLED
         assert simulator.cluster.free_gpus == 8
         simulator.cluster.verify_invariants()
 
@@ -260,7 +260,7 @@ class TestDynamicSubmission:
         simulator.submit_job(queued)
         simulator.engine.run(until=10.0)
         simulator.kill_job("b")
-        assert queued.state is JobState.KILLED
+        assert queued.lifecycle is LifecycleState.KILLED
         assert simulator.scheduler.queue_depth == 0
 
     def test_kill_unknown_and_terminal(self):
@@ -271,4 +271,4 @@ class TestDynamicSubmission:
         simulator.submit_job(job)
         simulator.engine.run()
         simulator.kill_job("a")  # terminal: no-op, no error
-        assert job.state is JobState.COMPLETED
+        assert job.lifecycle is LifecycleState.FINISHED

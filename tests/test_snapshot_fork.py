@@ -154,7 +154,7 @@ class TestWhatIf:
         expected = fork(sim).run().summary()
 
         def kill_widest(s: ClusterSimulator) -> None:
-            live = [j for j in s.jobs.values() if not j.state.terminal]
+            live = [j for j in s.jobs.values() if not j.lifecycle.terminal]
             assert live
             for job in sorted(live, key=lambda j: (-j.num_gpus, j.job_id))[:3]:
                 s.kill_job(job.job_id)
@@ -192,5 +192,5 @@ class TestForkedFrontend:
         job_id, _c, _w = frontend.submit(spec, duration_hint_s=1800.0)
         forked = fork(frontend.sim)
         forked.engine.run(until=forked.engine.now + 3 * 3600.0)
-        assert forked.jobs[job_id].state.terminal
-        assert not frontend.sim.jobs[job_id].state.terminal
+        assert forked.jobs[job_id].lifecycle.terminal
+        assert not frontend.sim.jobs[job_id].lifecycle.terminal

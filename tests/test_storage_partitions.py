@@ -9,7 +9,7 @@ from repro.errors import ConfigError
 from repro.execlayer import SharedFilesystem, StorageConfig, UnitExecutionModel
 from repro.sched import GreedyFifoScheduler
 from repro.sim import ClusterSimulator, SimConfig
-from repro.workload import JobState, Trace
+from repro.workload import LifecycleState, Trace
 from tests.conftest import make_job
 
 
@@ -141,7 +141,7 @@ class TestPartitionRouting:
     def test_partition_restricts_nodes(self):
         job = make_job("a", num_gpus=4, duration=100.0, partition="consumer")
         self.run_on_tacc([job])
-        assert job.state is JobState.COMPLETED
+        assert job.lifecycle is LifecycleState.FINISHED
         assert all(
             node.startswith(("rtx3090", "rtx2080ti")) for node in job.last_nodes
         )
@@ -155,7 +155,7 @@ class TestPartitionRouting:
             walltime_estimate=100 * 3600.0,  # consumer caps at 48 h
         )
         result, _ = self.run_on_tacc([job])
-        assert job.state is JobState.KILLED
+        assert job.lifecycle is LifecycleState.KILLED
         assert result.metrics.rejected_jobs == 1
 
     def test_partition_width_rejection(self):
@@ -173,7 +173,7 @@ class TestPartitionRouting:
     def test_no_partition_runs_anywhere(self):
         job = make_job("a", num_gpus=8, duration=100.0)
         self.run_on_tacc([job])
-        assert job.state is JobState.COMPLETED
+        assert job.lifecycle is LifecycleState.FINISHED
 
     def test_backfill_reservation_respects_partition(self):
         # Partition-constrained job behind a partition-filling blocker:

@@ -14,6 +14,8 @@ from repro.tcloud import (
     reset_sessions,
 )
 from repro.tcloud.cli import main as tcloud_main
+from repro.tcloud.frontend import status_word
+from repro.workload import LifecycleState
 
 
 @pytest.fixture(autouse=True)
@@ -133,6 +135,30 @@ class TestFrontend:
         assert status.state == "killed"
         with pytest.raises(SimulationError):
             frontend.kill("job-999999")
+
+    def test_status_word_for_every_lifecycle_state(self):
+        S = LifecycleState
+        assert {state: status_word(state) for state in S} == {
+            S.PENDING: "queued",
+            S.PENDING_DEPS: "queued",
+            S.ADMITTED: "queued",
+            S.PREEMPTED: "queued",
+            S.RESTARTING: "queued",
+            S.RUNNING: "running",
+            S.FINISHED: "completed",
+            S.FAILED: "failed",
+            S.KILLED: "killed",
+        }
+
+    def test_logs_terminal_marker(self):
+        frontend = TaccFrontend()
+        done, _c, _w = frontend.submit(demo_spec("done"), duration_hint_s=600.0)
+        killed, _c, _w = frontend.submit(demo_spec("killed"), duration_hint_s=50_000.0)
+        assert "frontend" not in frontend.logs(done)  # live jobs carry no marker
+        frontend.advance_until_done(done)
+        frontend.kill(killed)
+        assert frontend.logs(done)["frontend"] == [f"[frontend] job {done} completed"]
+        assert frontend.logs(killed)["frontend"] == [f"[frontend] job {killed} killed"]
 
     def test_cluster_info(self):
         frontend = TaccFrontend()

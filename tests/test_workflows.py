@@ -58,7 +58,6 @@ from repro.sim.metrics import workflow_rollup
 from repro.workload import (
     FailureCategory,
     FailurePlan,
-    JobState,
     PipelineSynthesizer,
     PipelineTraceConfig,
     Trace,
@@ -543,8 +542,8 @@ class TestDependencyLifecycle:
         )
         a.artifact_bytes = 1e9
         sim, result = _run([a, b])
-        assert a.state is JobState.COMPLETED
-        assert b.state is JobState.COMPLETED
+        assert a.lifecycle is LifecycleState.FINISHED
+        assert b.lifecycle is LifecycleState.FINISHED
         assert b.deps_released_at == pytest.approx(a.end_time)
         assert b.first_start_time >= a.end_time
         timeline = sim.controller.log.for_job("b")
@@ -573,9 +572,9 @@ class TestDependencyLifecycle:
         b = make_job(job_id="b", duration=50.0, workflow_id="w", depends_on=("a",))
         c = make_job(job_id="c", duration=50.0, workflow_id="w", depends_on=("b",))
         sim, result = _run([a, b, c])
-        assert a.state is JobState.FAILED
-        assert b.state is JobState.KILLED
-        assert c.state is JobState.KILLED
+        assert a.lifecycle is LifecycleState.FAILED
+        assert b.lifecycle is LifecycleState.KILLED
+        assert c.lifecycle is LifecycleState.KILLED
         for held in ("b", "c"):
             final = sim.controller.log.for_job(held)[-1]
             assert final.cause is Cause.UPSTREAM_FAILED

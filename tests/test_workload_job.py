@@ -8,8 +8,8 @@ from repro.errors import JobStateError, ValidationError
 from repro.workload import (
     FailureCategory,
     FailurePlan,
-    JobState,
     JobTier,
+    LifecycleState,
     ResourceRequest,
 )
 from tests.conftest import make_job
@@ -56,7 +56,7 @@ class TestFailurePlan:
 class TestJobConstruction:
     def test_defaults_derived(self):
         job = make_job()
-        assert job.state is JobState.QUEUED
+        assert job.lifecycle.queued
         assert job.walltime_estimate == job.duration
         assert job.preemptible is False  # guaranteed tier
         assert job.remaining_work == job.duration
@@ -83,7 +83,7 @@ class TestLifecycle:
         job = make_job(duration=100.0, submit_time=10.0)
         job.start(30.0, ("n1",), slowdown=1.0)
         job.complete(130.0)
-        assert job.state is JobState.COMPLETED
+        assert job.lifecycle is LifecycleState.FINISHED
         assert job.wait_time == 20.0
         assert job.jct == 120.0
         assert job.remaining_work == 0.0
@@ -103,7 +103,7 @@ class TestLifecycle:
         job.preempt(60.0, checkpoint_loss=10.0)
         assert job.remaining_work == pytest.approx(50.0)
         assert job.preemptions == 1
-        assert job.state is JobState.QUEUED
+        assert job.lifecycle.queued
 
     def test_checkpoint_loss_never_exceeds_duration(self):
         job = make_job(duration=100.0)
@@ -133,21 +133,21 @@ class TestLifecycle:
         job = make_job(duration=100.0)
         job.start(0.0, ("n1",))
         job.fail(20.0, FailureCategory.OOM)
-        assert job.state is JobState.FAILED
+        assert job.lifecycle is LifecycleState.FAILED
         assert job.failure_category is FailureCategory.OOM
         assert job.end_time == 20.0
 
     def test_kill_from_queue(self):
         job = make_job()
         job.kill(5.0)
-        assert job.state is JobState.KILLED
+        assert job.lifecycle is LifecycleState.KILLED
         assert job.wait_time is None
 
     def test_kill_while_running(self):
         job = make_job(duration=100.0)
         job.start(0.0, ("n1",))
         job.kill(10.0)
-        assert job.state is JobState.KILLED
+        assert job.lifecycle is LifecycleState.KILLED
         assert job.gpu_seconds_used == pytest.approx(10.0)
 
     def test_complete_requires_exhausted_work(self):
@@ -176,6 +176,14 @@ class TestLifecycle:
         job = make_job()
         with pytest.raises(ValidationError):
             job.start(0.0, ("n1",), slowdown=0.0)
+
+    def test_negative_setup_rejected_before_any_write(self):
+        job = make_job()
+        with pytest.raises(ValidationError, match="setup_s"):
+            job.start(0.0, ("n1",), setup_s=-1.0)
+        assert job.lifecycle is LifecycleState.PENDING
+        assert job.attempts == 0
+        assert job.first_start_time is None and job.last_start_time is None
 
 
 class TestEstimates:

@@ -9,6 +9,7 @@ from repro.workload import (
     FailureCategory,
     FailurePlan,
     JobTier,
+    LifecycleState,
     MODEL_CATALOG,
     Trace,
     assign_models,
@@ -115,7 +116,7 @@ class TestSerialisation:
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         restored = Trace.from_csv(path)
-        assert restored.jobs[0].state.value == "queued"
+        assert restored.jobs[0].lifecycle is LifecycleState.PENDING
         assert restored.jobs[0].attempts == 0
 
     def test_csv_missing_columns_rejected(self, tmp_path):
