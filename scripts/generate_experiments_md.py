@@ -42,9 +42,9 @@ EXPECTED_SHAPES = {
 HEADER = """# EXPERIMENTS — paper vs. measured
 
 Every table (T*) and figure (F*) of the reconstructed experiment index
-(see DESIGN.md) regenerated by this repository's benchmark harness.
+(see DESIGN.md) regenerated by `python -m repro.experiments`.
 
-* Regenerate any entry: `pytest benchmarks/bench_<id>_*.py --benchmark-only --repro-scale {scale}`
+* Regenerate any entry: `python -m repro.experiments <ID> --scale {scale} --seed {seed}`
 * Regenerate this file: `python scripts/generate_experiments_md.py --scale {scale} --seed {seed}`
 
 Because the paper's production traces are proprietary, workloads are

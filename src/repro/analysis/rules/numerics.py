@@ -1,6 +1,6 @@
 """Rule R5: no float equality in result-producing code.
 
-Metrics, experiment tables and benchmark gates compare accumulated floats;
+Metrics, experiment tables and ops reports compare accumulated floats;
 ``==``/``!=`` against a float literal is exact-bit comparison and breaks
 the moment an accumulation order changes — precisely the kind of silent
 misclassification the golden pins exist to catch loudly instead.

@@ -31,7 +31,6 @@ NUMERIC_RESULTS = (
     "repro/serving/latency",
     "repro/experiments/",
     "repro/ops/",
-    "benchmarks/",
 )
 
 #: The one module allowed to deep-copy live simulations.

@@ -253,42 +253,6 @@ class Cluster:
     def jobs_on_node(self, node_id: NodeId) -> tuple[JobId, ...]:
         return self.node(node_id).jobs
 
-    # -- feasibility ----------------------------------------------------------------
-
-    def fits_anywhere(
-        self,
-        num_gpus: int,
-        gpus_per_node: int | None = None,
-        gpu_type: str | None = None,
-        cpus_per_gpu: int = 0,
-        memory_gb_per_gpu: float = 0.0,
-    ) -> bool:
-        """True when an idle-enough set of nodes could host the request now.
-
-        Uses the same gang-chunk semantics as the placement policies: the
-        request splits into equal per-node chunks (``gpus_per_node`` each,
-        or one chunk of ``num_gpus``), and every chunk needs a distinct
-        node that fits it whole.  This is a capacity check, not a placement
-        decision — placement policies may still decline (e.g. buddy-cell
-        alignment).
-        """
-        chunk = min(num_gpus, gpus_per_node or num_gpus)
-        chunks_needed = max(1, -(-num_gpus // chunk))
-        # O(1) pre-filter: chunks_needed nodes with `chunk` free each need at
-        # least that much free in total on eligible healthy nodes.
-        if gpu_type is None:
-            if self._index.free_healthy_gpus < chunk * chunks_needed:
-                return False
-        elif self._index.free_gpus_of_type(gpu_type) < chunk * chunks_needed:
-            return False
-        hosts = 0
-        for node in self._index.candidate_pool(gpu_type):
-            if node.can_fit(chunk, cpus_per_gpu * chunk, memory_gb_per_gpu * chunk):
-                hosts += 1
-                if hosts >= chunks_needed:
-                    return True
-        return False
-
     # -- auditing -----------------------------------------------------------------
 
     def verify_invariants(self) -> None:

@@ -9,17 +9,13 @@ placement policies and communication models care about:
 * ``CROSS_RACK`` — through the spine, where the leaf uplinks are
   oversubscribed by a configurable factor.
 
-The topology is held as a :mod:`networkx` graph so path computations stay
-general (e.g. for future multi-tier fabrics), but the common queries are
-answered from precomputed maps in O(1).
+Every query is answered in O(1) from precomputed rack-membership maps.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from ..errors import ConfigError, UnknownNodeError
 from ..ids import NodeId, RackId
@@ -69,7 +65,6 @@ class Topology:
     fabric: FabricSpec
     _rack_of: dict[NodeId, RackId] = field(default_factory=dict)
     _racks: dict[RackId, tuple[NodeId, ...]] = field(default_factory=dict)
-    _graph: nx.Graph = field(default_factory=nx.Graph)
 
     @classmethod
     def build(
@@ -90,11 +85,8 @@ class Topology:
                 )
             seen |= set(node_ids)
             topo._racks[rack_id] = tuple(node_ids)
-            leaf = f"leaf:{rack_id}"
-            topo._graph.add_edge(leaf, "spine", gbps=fabric.leaf_uplink_gbps)
             for node in node_ids:
                 topo._rack_of[node] = rack_id
-                topo._graph.add_edge(node, leaf, gbps=fabric.node_uplink_gbps)
         return topo
 
     # -- membership ----------------------------------------------------------

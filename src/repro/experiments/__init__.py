@@ -1,7 +1,7 @@
 """Experiment harness: regenerate every table and figure of the study."""
 
 from .common import ExperimentResult, ExperimentSpec, campus_trace, fresh_trace_copy, run_policy
-from .registry import EXPERIMENTS, run_all, run_experiment
+from .registry import EXPERIMENTS, run_experiment
 
 __all__ = [
     "EXPERIMENTS",
@@ -9,6 +9,5 @@ __all__ = [
     "ExperimentSpec",
     "campus_trace",
     "fresh_trace_copy",
-    "run_all",
     "run_experiment",
 ]

@@ -1,8 +1,9 @@
 """Shared plumbing for the experiment suite.
 
 Every experiment is a function ``(seed, scale) → ExperimentResult`` where
-*scale* multiplies trace length — benchmarks run at ``scale≈0.3`` for
-wall-clock sanity, the EXPERIMENTS.md numbers at ``scale=1.0``.  Results
+*scale* multiplies trace length — the tests run every experiment at
+``scale=0.15`` for wall-clock sanity, the EXPERIMENTS.md numbers use
+``scale=1.0``.  Results
 carry printable rows (tables) and/or named series (figures) plus free-form
 notes, and know how to render themselves.
 """

@@ -1,8 +1,9 @@
 """The experiment registry: every paper table/figure mapped to a runner.
 
-``EXPERIMENTS`` is the single source of truth the benchmarks, the
-EXPERIMENTS.md generator and the CLI all consult.  IDs follow DESIGN.md's
-reconstructed index (T = table, F = figure).
+``EXPERIMENTS`` is the single source of truth the CLI
+(``python -m repro.experiments``), the tests and the EXPERIMENTS.md
+generator all consult.  IDs follow DESIGN.md's reconstructed index
+(T = table, F = figure).
 """
 
 from __future__ import annotations
@@ -157,25 +158,3 @@ def run_experiment(experiment_id: str, seed: int = 0, scale: float = 1.0) -> Exp
         ) from None
     return spec.run(seed=seed, scale=scale)
 
-
-def run_all(
-    seed: int = 0,
-    scale: float = 1.0,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    no_cache: bool = True,
-) -> dict[str, ExperimentResult]:
-    """Run the full suite in index order.
-
-    ``jobs``/``cache_dir``/``no_cache`` configure the sweep engine for
-    the whole batch: simulation cells fan out over ``jobs`` workers and
-    (unless ``no_cache``) reuse the content-addressed result cache.
-    Defaults keep library callers pure — serial, cache-less.
-    """
-    from .. import sweep
-
-    with sweep.execution(jobs=jobs, cache_dir=cache_dir, no_cache=no_cache):
-        return {
-            experiment_id: EXPERIMENTS[experiment_id].run(seed=seed, scale=scale)
-            for experiment_id in EXPERIMENTS
-        }

@@ -23,6 +23,7 @@ from ..sched import make_scheduler
 from ..sim.simulator import ClusterSimulator, SimConfig
 from ..workload.models import assign_models
 from ..workload.synth import SyntheticTraceConfig, TraceSynthesizer
+from ..workload.trace import Trace
 from .energy import EnergyConfig, energy_report
 
 
@@ -124,12 +125,8 @@ def plan_capacity(
     rows = []
     for name, spec, added in candidates:
         cluster: Cluster = build_cluster(spec)
-        # Fresh jobs per candidate: round-trip through the row format.
-        from ..workload.trace import _job_from_row, _job_to_row
-        from ..workload.trace import Trace
-
-        jobs = [_job_from_row(_job_to_row(job)) for job in trace_template]
-        trace = Trace(jobs, name=workload.name)
+        # Fresh jobs per candidate, rehydrated from the template's rows.
+        trace = Trace.from_rows(trace_template.frozen_rows(), name=workload.name)
         assign_models(trace, seed=seed)
         result = ClusterSimulator(
             cluster,

@@ -123,7 +123,7 @@ def synthesize_rate_curve(
     """Generate one service's diurnal rate curve over ``days`` days.
 
     Same epoch construction as
-    :meth:`repro.workload.synth.TraceSynthesizer._hourly_rates` — per-epoch
+    :func:`repro.workload.synth.hourly_rates` — per-epoch
     intensity = peak × (diurnal weight / max weight) × weekend factor ×
     seasonality × log-normal jitter — returned as the intensity itself
     rather than sampled arrivals.

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from .job import FailureCategory, FailurePlan, Job, JobTier, ResourceRequest
-from .synth import SyntheticTraceConfig
+from .synth import SyntheticTraceConfig, hourly_rates
 from .trace import Trace
 
 #: Zipf exponent for lab *volume* shares (mild skew: big labs submit more).
@@ -157,21 +157,6 @@ def materialize_jobs(
             )
         )
     return jobs
-
-
-def _hourly_rates(config: SyntheticTraceConfig) -> np.ndarray:
-    """Vectorized twin of ``TraceSynthesizer._hourly_rates``."""
-    hours = int(np.ceil(config.days * 24))
-    profile = np.asarray(config.diurnal_profile, dtype=float)
-    profile = profile / profile.mean()
-    hour_index = np.arange(hours)
-    day = hour_index // 24
-    weekday = (config.start_weekday + day) % 7
-    day_factor = np.where(weekday >= 5, config.weekend_factor, 1.0)
-    if config.daily_seasonality:
-        season = np.asarray(config.daily_seasonality, dtype=float)
-        day_factor = day_factor * season[day % len(season)]
-    return config.jobs_per_day / 24.0 * profile[hour_index % 24] * day_factor
 
 
 class FleetTraceSynthesizer:
@@ -300,7 +285,7 @@ class FleetTraceSynthesizer:
     def generate(self) -> Trace:
         """Synthesize the trace: vectorized columns, then one object loop."""
         cfg = self.config
-        base_rates = _hourly_rates(cfg)
+        base_rates = hourly_rates(cfg)
         shares = self._lab_shares()
         streams = np.random.SeedSequence(self.seed).spawn(cfg.num_labs)
 

@@ -159,6 +159,24 @@ class SyntheticTraceConfig:
             raise ConfigError("gpu_type_preferences must sum to 1")
 
 
+def hourly_rates(config: SyntheticTraceConfig) -> np.ndarray:
+    """Expected submissions for every hour of the trace.
+
+    Shared by the scalar and the vectorized (fleet) synthesizers.
+    """
+    hours = int(np.ceil(config.days * 24))
+    profile = np.asarray(config.diurnal_profile, dtype=float)
+    profile = profile / profile.mean()  # normalise so daily total is jobs_per_day
+    hour_index = np.arange(hours)
+    day = hour_index // 24
+    weekday = (config.start_weekday + day) % 7
+    day_factor = np.where(weekday >= 5, config.weekend_factor, 1.0)
+    if config.daily_seasonality:
+        season = np.asarray(config.daily_seasonality, dtype=float)
+        day_factor = day_factor * season[day % len(season)]
+    return config.jobs_per_day / 24.0 * profile[hour_index % 24] * day_factor
+
+
 @dataclass(frozen=True)
 class _UserPool:
     users: tuple[str, ...]
@@ -198,25 +216,9 @@ class TraceSynthesizer:
 
     # -- arrival process -----------------------------------------------------
 
-    def _hourly_rates(self) -> np.ndarray:
-        """Expected submissions for every hour of the trace."""
-        cfg = self.config
-        hours = int(np.ceil(cfg.days * 24))
-        profile = np.asarray(cfg.diurnal_profile, dtype=float)
-        profile = profile / profile.mean()  # normalise so daily total is jobs_per_day
-        rates = np.empty(hours)
-        for hour in range(hours):
-            day = hour // 24
-            weekday = (cfg.start_weekday + day) % 7
-            day_factor = cfg.weekend_factor if weekday >= 5 else 1.0
-            if cfg.daily_seasonality:
-                day_factor *= cfg.daily_seasonality[day % len(cfg.daily_seasonality)]
-            rates[hour] = cfg.jobs_per_day / 24.0 * profile[hour % 24] * day_factor
-        return rates
-
     def _sample_arrivals(self) -> np.ndarray:
         """Non-homogeneous Poisson arrivals over the trace horizon."""
-        rates = self._hourly_rates()
+        rates = hourly_rates(self.config)
         times: list[float] = []
         for hour, rate in enumerate(rates):
             count = int(self.rng.poisson(rate))

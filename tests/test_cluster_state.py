@@ -152,20 +152,6 @@ class TestFailureInterplay:
 
 
 class TestFeasibility:
-    def test_fits_anywhere_basic(self, small_cluster):
-        assert small_cluster.fits_anywhere(8)
-        assert small_cluster.fits_anywhere(32, gpus_per_node=8)
-        assert not small_cluster.fits_anywhere(33, gpus_per_node=8)
-
-    def test_fits_anywhere_respects_type(self, hetero_cluster):
-        assert hetero_cluster.fits_anywhere(8, gpu_type="a100-80")
-        assert not hetero_cluster.fits_anywhere(8, gpu_type="v100")
-
-    def test_fits_anywhere_respects_cpu_budget(self, small_cluster):
-        # 8 gpus * 13 cpus = 104 > 96 available per node.
-        assert not small_cluster.fits_anywhere(8, cpus_per_gpu=13)
-        assert small_cluster.fits_anywhere(8, cpus_per_gpu=12)
-
     def test_free_gpus_by_node_filter(self, hetero_cluster):
         by_node = hetero_cluster.free_gpus_by_node(gpu_type="rtx3090")
         assert len(by_node) == 2
