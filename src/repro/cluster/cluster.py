@@ -144,9 +144,6 @@ class Cluster:
         except KeyError:
             raise UnknownNodeError(f"unknown node {node_id}") from None
 
-    def gpu_type_of(self, node_id: NodeId) -> str:
-        return self.node(node_id).spec.gpu_type
-
     def nodes_of_type(self, gpu_type: str) -> tuple[Node, ...]:
         return self._index.nodes_of_type(gpu_type)
 
@@ -249,9 +246,6 @@ class Cluster:
         node.repair()
         if not was_healthy:
             self._index.on_repair(node)
-
-    def jobs_on_node(self, node_id: NodeId) -> tuple[JobId, ...]:
-        return self.node(node_id).jobs
 
     # -- auditing -----------------------------------------------------------------
 

@@ -77,10 +77,6 @@ class UploadReport:
     uploaded_chunks: int
 
     @property
-    def saved_bytes(self) -> int:
-        return self.total_bytes - self.uploaded_bytes
-
-    @property
     def hit_rate(self) -> float:
         """Fraction of chunks already present on the cluster side."""
         if self.total_chunks == 0:

@@ -13,10 +13,10 @@ kills from ``tcloud`` — mutates job and cluster state.  Each mutation:
 2. checks the edge the job took against the source state's
    ``successors`` in ``_apply``, the single transition path (illegal
    edges raise :class:`~repro.errors.IllegalTransitionError`);
-3. appends one typed :class:`~repro.controlplane.lifecycle.Transition` to
-   the :class:`~repro.controlplane.lifecycle.TransitionLog` — the run's
-   only lifecycle record, from which churn counters, the Gantt timeline,
-   ``tcloud history``, and the ops report derive.
+3. logs the edge in the :class:`~repro.controlplane.lifecycle.TransitionLog`
+   (as a typed :class:`~repro.controlplane.lifecycle.Transition` if it keeps
+   records) — the run's only lifecycle record, from which churn counters,
+   the Gantt timeline, ``tcloud history``, and the ops report derive.
 
 The simulator keeps what is genuinely *simulation*: the event queue, the
 execution/provisioning/staging models, and attempt-outcome planning.  The
@@ -387,41 +387,44 @@ class ClusterController:
         cause: Cause,
         actor: Actor,
         detail: str = "",
-    ) -> Transition:
+    ) -> Transition | None:
         """The single transition path: validate, log, account.
 
         The job has just moved from *source* to ``job.lifecycle``; that
-        edge must be one of ``source.successors``.
+        edge must be one of ``source.successors``.  Returns the record, if the log keeps one.
         """
         target = job.lifecycle
-        if target not in source.successors:
+        if not source.successor_bits & target.bit:
             raise IllegalTransitionError(
                 f"job {job.job_id}: illegal lifecycle transition "
                 f"{source.value} -> {target.value} "
                 f"(cause={cause.value}, actor={actor.value}, t={now})"
             )
-        transition = Transition(
-            job.job_id, now, source, target, cause, actor, job.attempts, detail
-        )
-        self.log.append(transition)
-        self._account(transition)
+        transition: Transition | None = None
+        if self.log.retain_records:
+            transition = Transition(
+                job.job_id, now, source, target, cause, actor, job.attempts, detail
+            )
+            self.log.append(transition)
+        else:
+            self.log.tally(target, cause)
+        if target.terminal:
+            self._account(now, job.job_id, target)
         return transition
 
-    def _account(self, transition: Transition) -> None:
+    def _account(self, now: float, job_id: JobId, target: LifecycleState) -> None:
         """Retire a job that reached a terminal state: live-job count and
         dependency bookkeeping.  Churn counts are read from the log."""
-        if not transition.target.terminal:
-            return
         self._live_jobs -= 1
         if self._live_jobs < 0:
             raise SimulationError(
-                f"live-job counter went negative at {transition.job_id}; "
+                f"live-job counter went negative at {job_id}; "
                 "a terminal transition was double-counted"
             )
-        self.waiting_on.pop(transition.job_id, None)
-        self._on_upstream_terminal(transition)
+        self.waiting_on.pop(job_id, None)
+        self._on_upstream_terminal(now, job_id, target)
 
-    def _on_upstream_terminal(self, transition: Transition) -> None:
+    def _on_upstream_terminal(self, now: float, job_id: JobId, target: LifecycleState) -> None:
         """Resolve held downstreams when one of their upstreams ends.
 
         A FINISHED upstream satisfies the dependency; any other terminal
@@ -429,26 +432,26 @@ class ClusterController:
         can never run, so it is killed with ``UPSTREAM_FAILED``, which
         recursively resolves *its* dependents through this same path.
         """
-        downstream_ids = self.dependents.pop(transition.job_id, None)
+        downstream_ids = self.dependents.pop(job_id, None)
         if not downstream_ids:
             return
-        satisfied = transition.target is LifecycleState.FINISHED
-        for job_id in downstream_ids:
-            unmet = self.waiting_on.get(job_id)
+        satisfied = target is LifecycleState.FINISHED
+        for downstream_id in downstream_ids:
+            unmet = self.waiting_on.get(downstream_id)
             if unmet is None:
                 continue  # already released or killed
             if not satisfied:
                 self.kill(
-                    transition.time,
-                    self.jobs[job_id],
+                    now,
+                    self.jobs[downstream_id],
                     cause=Cause.UPSTREAM_FAILED,
                     actor=Actor.SIMULATOR,
-                    detail=f"upstream={transition.job_id}",
+                    detail=f"upstream={job_id}",
                 )
                 continue
-            unmet.discard(transition.job_id)
+            unmet.discard(job_id)
             if not unmet:
                 if self.on_deps_ready is not None:
-                    self.on_deps_ready(transition.time, job_id)
+                    self.on_deps_ready(now, downstream_id)
                 else:
-                    self.release_deps(transition.time, self.jobs[job_id])
+                    self.release_deps(now, self.jobs[downstream_id])

@@ -43,6 +43,9 @@ __all__ = [
 class Cause(enum.Enum):
     """Why a transition happened (the edge label)."""
 
+    #: Declaration position (set below the class), for the log's counter key.
+    index: int
+
     ADMIT = "admit"
     REJECT = "reject"
     PLACE = "place"
@@ -59,6 +62,13 @@ class Cause(enum.Enum):
     DEPS_HOLD = "deps_hold"  # workflow stage waiting on upstream stages
     DEPS_RELEASE = "deps_release"  # last upstream finished; stage admitted
     UPSTREAM_FAILED = "upstream_failed"  # an upstream stage failed/was killed
+
+
+for _index, _cause in enumerate(Cause):
+    _cause.index = _index
+del _index, _cause
+_CAUSES = tuple(Cause)
+_N_CAUSES = len(_CAUSES)
 
 
 class Actor(enum.Enum):
@@ -125,19 +135,18 @@ class TransitionLog:
     the ``tcloud history`` verb, and the ops report all derive from it.
 
     ``retain_records=False`` keeps every count exact but drops the record
-    objects themselves (``records`` stays empty, :meth:`for_job` returns
-    nothing).  At fleet scale a month-long million-job run emits several
-    million transitions — gigabytes of :class:`Transition` objects that
-    nothing reads when the caller only wants aggregate metrics.
+    objects themselves: the controller builds none and calls :meth:`tally`.
+    At fleet scale a month-long million-job run emits several million
+    transitions — gigabytes of :class:`Transition` objects that nothing
+    reads when the caller only wants aggregate metrics.
     """
 
     def __init__(self, retain_records: bool = True) -> None:
         self.retain_records = retain_records
         self.records: list[Transition] = []
-        self._total = 0
-        #: The one counter: (target, cause) -> count, in first-seen order.
-        #: Per-target and per-cause totals are its marginals.
-        self._by_pair: dict[tuple[LifecycleState, Cause], int] = {}
+        #: The one counter: ``target.index * len(Cause) + cause.index`` ->
+        #: count, in first-seen order.  Every total is a sum over it.
+        self._by_pair: dict[int, int] = {}
 
     @classmethod
     def merged(cls, logs: Iterable["TransitionLog"]) -> "TransitionLog":
@@ -145,7 +154,6 @@ class TransitionLog:
         aggregation: every site's transitions counted once, no records)."""
         fleet = cls(retain_records=False)
         for log in logs:
-            fleet._total += log._total
             for pair, count in log._by_pair.items():
                 fleet._by_pair[pair] = fleet._by_pair.get(pair, 0) + count
         return fleet
@@ -153,12 +161,15 @@ class TransitionLog:
     def append(self, transition: Transition) -> None:
         if self.retain_records:
             self.records.append(transition)
-        self._total += 1
-        pair = (transition.target, transition.cause)
+        self.tally(transition.target, transition.cause)
+
+    def tally(self, target: LifecycleState, cause: Cause) -> None:
+        """Count one edge into *target* by *cause* without a record."""
+        pair = target.index * _N_CAUSES + cause.index
         self._by_pair[pair] = self._by_pair.get(pair, 0) + 1
 
     def __len__(self) -> int:
-        return self._total
+        return sum(self._by_pair.values())
 
     def __iter__(self) -> Iterator[Transition]:
         return iter(self.records)
@@ -172,13 +183,12 @@ class TransitionLog:
         A marginal sums over the observed (target, cause) pairs, of which
         there are a few dozen at most.
         """
-        if target is not None and cause is not None:
-            return self._by_pair.get((target, cause), 0)
-        if target is not None:
-            return sum(n for (t, _c), n in self._by_pair.items() if t is target)
-        if cause is not None:
-            return sum(n for (_t, c), n in self._by_pair.items() if c is cause)
-        return self._total
+        return sum(
+            n
+            for pair, n in self._by_pair.items()
+            if (target is None or pair // _N_CAUSES == target.index)
+            and (cause is None or pair % _N_CAUSES == cause.index)
+        )
 
     def for_job(self, job_id: str) -> list[Transition]:
         return [t for t in self.records if t.job_id == job_id]
@@ -186,6 +196,7 @@ class TransitionLog:
     def by_cause(self) -> dict[str, int]:
         """Cause -> count, in first-seen order (reporting)."""
         counts: dict[str, int] = {}
-        for (_target, cause), count in self._by_pair.items():
-            counts[cause.value] = counts.get(cause.value, 0) + count
+        for pair, count in self._by_pair.items():
+            cause = _CAUSES[pair % _N_CAUSES].value
+            counts[cause] = counts.get(cause, 0) + count
         return counts

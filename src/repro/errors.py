@@ -63,10 +63,6 @@ class PlacementError(SchedulingError):
     """A placement decision was malformed (e.g. over-allocates a node)."""
 
 
-class PreemptionError(SchedulingError):
-    """A preemption was requested for a job that cannot be preempted."""
-
-
 # --------------------------------------------------------------------------
 # Workflow-stack errors (schema / compiler / execution layers)
 # --------------------------------------------------------------------------

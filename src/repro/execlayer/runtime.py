@@ -171,6 +171,3 @@ class RuntimeRegistry:
         raise RuntimeSwitchError(
             f"all {len(chain)} runtimes failed to provision env {env_key!r}"
         )
-
-    def is_warm(self, runtime: str, env_key: str) -> bool:
-        return (runtime, env_key) in self._warm

@@ -53,6 +53,7 @@ class ExecutionModel:
 
     def __init__(self, config: ExecModelConfig | None = None) -> None:
         self.config = config or ExecModelConfig()
+        self._slowdowns: dict[tuple[object, ...], float] = {}
 
     def reference_shape(self, job: Job, nic_gbps: float = 100.0) -> PlacementShape:
         """The ideal placement shape implied by the job's request."""
@@ -81,23 +82,41 @@ class ExecutionModel:
             sync_s = sync_time_s(profile.gradient_mb, shape, self.config.comm_method)
         return compute_s + sync_s
 
+    def placement_iteration_s(self, job: Job, placement: dict[str, int], cluster: Cluster) -> float:
+        """Per-iteration wall time of *job* on *placement*: the placement's
+        shape on its slowest GPU type."""
+        shape = shape_from_placement(placement, cluster)
+        # sorted(): equal-speed GPU types must tie-break by name, not by
+        # set hash order, or results drift across processes.
+        gpu_types = {cluster.node(n).spec.gpu_type for n in placement}
+        slowest = min(sorted(gpu_types), key=lambda t: get_gpu_spec(t).relative_speed)
+        return self.iteration_time_s(job, shape, slowest)
+
     def slowdown(self, job: Job, placement: dict[str, int], cluster: Cluster) -> float:
         """Slowdown factor (>0) of running *job* on *placement*.
 
         1.0 means the placement matches the reference conditions; >1 means
         the job runs slower (remaining work stretches); <1 means faster
         hardware than requested.  *placement* is one the control plane
-        already accepted (``ClusterController.ensure_startable``).
+        already accepted (``ClusterController.ensure_startable``).  Memoized
+        on every input it reads; a failing placement raises on every call.
         """
-        total = sum(placement.values())
-        actual_shape = shape_from_placement(placement, cluster)
-        gpu_types = {cluster.node(n).spec.gpu_type for n in placement}
-        slowest = min(sorted(gpu_types), key=lambda t: get_gpu_spec(t).relative_speed)
-        reference_gpu = job.request.gpu_type or REFERENCE_GPU
+        request = job.request
+        key: list[object] = [job.model_name, job.num_gpus, request.gpu_type, request.gpus_per_node]
+        node_ids = sorted(placement)
+        for node_id in node_ids:
+            spec = cluster.node(node_id).spec
+            key += (placement[node_id], spec.gpu_type, spec.nic_gbps)
+        key += (cluster.topology.spread(node_ids), cluster.topology.fabric.oversubscription)
+        signature = tuple(key)
+        cached = self._slowdowns.get(signature)
+        if cached is not None:
+            return cached
+        actual = self.placement_iteration_s(job, placement, cluster)
+        reference_gpu = request.gpu_type or REFERENCE_GPU
         ref_shape = self.reference_shape(
             job, nic_gbps=min(cluster.node(n).spec.nic_gbps for n in placement)
         )
-        actual = self.iteration_time_s(job, actual_shape, slowest)
         reference = self.iteration_time_s(job, ref_shape, reference_gpu)
         if reference <= 0:
             raise ValidationError(f"reference iteration time is zero for {job.job_id}")
@@ -105,7 +124,9 @@ class ExecutionModel:
         # job granted g < N GPUs processes g/N of the global batch per
         # iteration, stretching wall time by N/g on top of the iteration-
         # time ratio.
-        return (actual / reference) * (job.num_gpus / total)
+        slowdown = (actual / reference) * (job.num_gpus / sum(placement.values()))
+        self._slowdowns[signature] = slowdown
+        return slowdown
 
 
 class UnitExecutionModel(ExecutionModel):

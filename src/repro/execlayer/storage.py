@@ -122,6 +122,3 @@ class SharedFilesystem:
         if self.stage_count == 0:
             return 1.0
         return self.cache_hits / self.stage_count
-
-    def node_cache_contents(self, node_id: NodeId) -> tuple[str, ...]:
-        return tuple(self._node_cache(node_id))

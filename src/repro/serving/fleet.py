@@ -32,7 +32,6 @@ import numpy as np
 
 from ..controlplane.lifecycle import Actor, Cause
 from ..errors import ConfigError, SimulationError
-from ..execlayer.comm import shape_from_placement
 from ..ids import NodeId, ServiceId
 from ..sim.events import RequestRateChange, ServiceScaleDown, ServiceScaleUp
 from ..sim.metrics import ServingMetrics
@@ -191,15 +190,7 @@ class ServingFleet:
         simulator = self._require_sim()
         service = self._service_of(job)
         self._account(service, now)
-        cluster = simulator.cluster
-        from ..cluster.gpu import get_gpu_spec
-
-        shape = shape_from_placement(dict(placement), cluster)
-        # sorted(): equal-speed GPU types must tie-break by name, not by
-        # set hash order, or replica rates drift across processes.
-        gpu_types = {cluster.node(n).spec.gpu_type for n in placement}
-        slowest = min(sorted(gpu_types), key=lambda t: get_gpu_spec(t).relative_speed)
-        iteration_s = simulator.exec_model.iteration_time_s(job, shape, slowest)
+        iteration_s = simulator.exec_model.placement_iteration_s(job, placement, simulator.cluster)
         if iteration_s <= 0:
             raise SimulationError(f"non-positive iteration time for replica {job.job_id}")
         replica = service.replicas[job.job_id]

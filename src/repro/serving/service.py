@@ -164,9 +164,6 @@ class ServiceJob:
     def running_replicas(self) -> list[Replica]:
         return [replica for replica in self.replicas.values() if replica.running]
 
-    def running_capacity_rps(self) -> float:
-        return sum(replica.rate_rps or 0.0 for replica in self.running_replicas())
-
     def next_replica_job(self, spec_role: ReplicaRole, now: float, horizon_s: float) -> Job:
         """Mint the next replica job (QUEUED, ready for submission).
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..controlplane.lifecycle import Transition
 from ..errors import ConfigError
 from ..ids import JobId
-from ..schema.parser import parse_task_file, parse_task_text
+from ..schema.parser import parse_task_text
 from ..schema.taskspec import TaskSpec
 from ..tcloud.config import ClusterProfile, TcloudConfig
 from ..tcloud.frontend import JobStatus, TaccFrontend
@@ -70,9 +70,6 @@ class TcloudClient:
             duration_hint_s=duration_hint_s,
         )
         return job_id
-
-    def submit_file(self, path: str, **kwargs) -> JobId:
-        return self.submit(parse_task_file(path), **kwargs)
 
     def submit_text(self, text: str, **kwargs) -> JobId:
         return self.submit(parse_task_text(text), **kwargs)

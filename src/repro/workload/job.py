@@ -42,6 +42,10 @@ class LifecycleState(enum.Enum):
 
     #: The legal next states (set for every member below the class).
     successors: frozenset[LifecycleState]
+    #: Declaration position, its one-hot bit, and the OR of the successors' bits.
+    index: int
+    bit: int
+    successor_bits: int
     #: No successors: the job is done.
     terminal: bool
     #: Live and not RUNNING: the job waits for a start.
@@ -62,6 +66,9 @@ class LifecycleState(enum.Enum):
 # edge it does not list.  Plain member attributes, not a dict: the flags
 # are read on every scheduling decision, and enum hashing is a Python call.
 _S = LifecycleState
+for _index, _state in enumerate(_S):
+    _state.index = _index
+    _state.bit = 1 << _index
 for _state, _successors in (
     (_S.PENDING, (_S.PENDING_DEPS, _S.ADMITTED, _S.KILLED)),
     # Dependency-held stages are invisible to schedulers: the only ways out
@@ -79,9 +86,10 @@ for _state, _successors in (
     (_S.FAILED, ()),
 ):
     _state.successors = frozenset(_successors)
+    _state.successor_bits = sum(successor.bit for successor in _successors)
     _state.terminal = not _successors
     _state.queued = not _state.terminal and _state is not _S.RUNNING
-del _S, _state, _successors
+del _S, _index, _state, _successors
 
 
 class JobTier(enum.Enum):

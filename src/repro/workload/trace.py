@@ -132,14 +132,6 @@ class Trace:
     def durations(self) -> np.ndarray:
         return np.array([job.duration for job in self.jobs], dtype=float)
 
-    def submissions_per_hour(self) -> dict[int, int]:
-        """Job count per absolute hour-of-trace (F1 diurnal series)."""
-        counts: dict[int, int] = {}
-        for job in self.jobs:
-            hour = int(job.submit_time // 3600)
-            counts[hour] = counts.get(hour, 0) + 1
-        return dict(sorted(counts.items()))
-
     def summary(self) -> dict[str, float]:
         """Headline numbers used by reports and tests."""
         if not self.jobs:

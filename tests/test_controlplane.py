@@ -200,6 +200,73 @@ class TestTransitionRecords:
         ]
 
 
+class TestCountOnlyLog:
+    """A log that keeps no records counts exactly what one that keeps them
+    counts, in the same first-seen order."""
+
+    @staticmethod
+    def run_log(record_transitions):
+        from repro.sim import FailureConfig
+
+        bad_plan = FailurePlan(FailureCategory.USER_ERROR, at_fraction=0.5)
+        jobs = [
+            make_job(f"j{i}", num_gpus=4, duration=40_000.0, submit_time=i * 10.0)
+            for i in range(8)
+        ] + [
+            make_job("up-ok", duration=100.0),
+            make_job("down-ok", duration=100.0, depends_on=("up-ok",)),
+            make_job("up-bad", duration=100.0, failure_plan=bad_plan),
+            make_job("down-bad", duration=100.0, depends_on=("up-bad",)),
+            make_job("huge", num_gpus=4096, duration=100.0),
+        ]
+        sim = ClusterSimulator(
+            uniform_cluster(2, gpus_per_node=8),
+            GreedyFifoScheduler(),
+            Trace(jobs, name="unit"),
+            failure_config=FailureConfig(mtbf_hours=4.0, max_job_restarts=100),
+            config=SimConfig(
+                sample_interval_s=0.0,
+                seed=1,
+                enforce_walltime=True,
+                record_transitions=record_transitions,
+            ),
+        )
+        sim.run()
+        return sim.controller.log
+
+    def test_counts_match_with_and_without_records(self):
+        kept, counted = self.run_log(True), self.run_log(False)
+        assert counted.records == [] and len(kept.records) == len(kept)
+        assert len(kept) == len(counted)
+        for target, cause in itertools.product(LifecycleState, Cause):
+            assert kept.count(target, cause) == counted.count(target, cause)
+        assert list(kept.by_cause().items()) == list(counted.by_cause().items())
+        assert len(kept.by_cause()) >= 9  # the run covers most causes
+
+    def test_merged_keeps_first_seen_order(self):
+        first = TransitionLog(retain_records=False)
+        first.tally(LifecycleState.KILLED, Cause.USER_KILL)
+        first.tally(LifecycleState.ADMITTED, Cause.ADMIT)
+        second = TransitionLog(retain_records=False)
+        second.tally(LifecycleState.RUNNING, Cause.PLACE)
+        second.tally(LifecycleState.ADMITTED, Cause.ADMIT)
+        second.tally(LifecycleState.KILLED, Cause.REJECT)
+        merged = TransitionLog.merged([first, second])
+        assert merged.records == [] and len(merged) == 5
+        assert list(merged.by_cause().items()) == [
+            ("user_kill", 1),
+            ("admit", 2),
+            ("place", 1),
+            ("reject", 1),
+        ]
+        assert merged.count(target=LifecycleState.KILLED) == 2
+        run = self.run_log(False)
+        doubled = TransitionLog.merged([run, self.run_log(True)])
+        assert list(doubled.by_cause().items()) == [
+            (cause, 2 * count) for cause, count in run.by_cause().items()
+        ]
+
+
 def quota_sim(jobs, **config_kwargs):
     """Two-lab quota sim where lab-b's job borrows lab-a's idle share."""
     cluster = uniform_cluster(2, gpus_per_node=8)

@@ -21,6 +21,9 @@ import math
 import pytest
 
 from repro.cluster import uniform_cluster
+from repro.controlplane import controller as controller_module
+from repro.controlplane.lifecycle import Transition
+from repro.execlayer.speedup import ExecutionModel
 from repro.experiments.common import run_policy
 from repro.sched import make_scheduler
 from repro.sim import SimConfig
@@ -43,18 +46,53 @@ GOLDEN: dict[str, float] = {
 }
 
 
+class CountingModel(ExecutionModel):
+    """Counts slowdown calls, and the ones the memo could not answer."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+        self.computed = 0
+
+    def slowdown(self, job, placement, cluster):
+        self.calls += 1
+        return super().slowdown(job, placement, cluster)
+
+    def placement_iteration_s(self, job, placement, cluster):
+        self.computed += 1
+        return super().placement_iteration_s(job, placement, cluster)
+
+
 @pytest.fixture(scope="module")
-def fleet_result():
+def fleet_run():
+    """The golden run, with its slowdown computations and transition
+    records counted (the golden summary proves counting changes nothing)."""
     config = tacc_campus(days=1.0, jobs_per_day=15_000.0, name="tacc-fleet-golden")
     trace = fleet_trace(config, seed=0)
     assign_models(trace, seed=0)
     cluster = uniform_cluster(4096, gpus_per_node=8)
-    return run_policy(
-        make_scheduler("backfill-easy"),
-        trace,
-        cluster=cluster,
-        sim_config=SimConfig(sample_interval_s=3600.0, record_transitions=False),
-    )
+    model = CountingModel()
+    records = []
+
+    def counted_transition(*args):
+        records.append(args)
+        return Transition(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller_module, "Transition", counted_transition)
+        result = run_policy(
+            make_scheduler("backfill-easy"),
+            trace,
+            cluster=cluster,
+            exec_model=model,
+            sim_config=SimConfig(sample_interval_s=3600.0, record_transitions=False),
+        )
+    return result, model, records
+
+
+@pytest.fixture(scope="module")
+def fleet_result(fleet_run):
+    return fleet_run[0]
 
 
 def test_summary_matches_golden_exactly(fleet_result):
@@ -78,3 +116,14 @@ def test_fleet_run_used_the_hot_path(fleet_result):
     # record_transitions=False drops records but keeps aggregates exact.
     assert list(fleet_result.log) == []
     assert len(fleet_result.log) > 0
+
+
+def test_start_path_work_counts(fleet_run):
+    """Machine-independent gate on the start path's two savings: the
+    slowdown memo answers nearly every call, and a count-only log makes
+    no transition records."""
+    result, model, records = fleet_run
+    assert model.calls >= result.metrics.jobs_completed
+    assert model.computed == len(model._slowdowns)
+    assert model.computed <= 0.01 * model.calls
+    assert records == []

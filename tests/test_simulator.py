@@ -62,8 +62,28 @@ class TestBasicExecution:
         expected = sum(j.duration * j.num_gpus for j in completed)
         served_to_completed = sum(j.gpu_seconds_used for j in completed)
         assert served_to_completed == pytest.approx(expected, rel=1e-6)
-        # The exact utilization integral covers at least the completed work.
-        assert result.metrics.served_gpu_hours * 3600.0 >= expected - 1e-6
+        # The utilization integral is exactly the GPU time every job held.
+        assert result.metrics.served_gpu_hours * 3600.0 == pytest.approx(
+            sum(j.gpu_seconds_used for j in result.jobs.values()), rel=1e-9
+        )
+
+    def test_gpu_seconds_conservation_with_failures(self):
+        """The same identity with node failures, restarts and backfill:
+        GPU time lost to evicted attempts is still GPU time a job held."""
+        trace = synthesize("tacc-campus", days=2.0, seed=2, jobs_per_day=150)
+        assign_models(trace, seed=2)
+        result = simulate(
+            uniform_cluster(4, gpus_per_node=8),
+            make_scheduler("backfill-easy"),
+            trace,
+            exec_model=ExecutionModel(),
+            failure_config=FailureConfig(),
+            config=SimConfig(verify_every=10, sample_interval_s=0.0, seed=2),
+        )
+        assert result.metrics.job_restarts > 0
+        assert result.metrics.served_gpu_hours * 3600.0 == pytest.approx(
+            sum(j.gpu_seconds_used for j in result.jobs.values()), rel=1e-9
+        )
 
     def test_deterministic_reruns(self):
         def one_run():
