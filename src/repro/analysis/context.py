@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import PurePosixPath
+from typing import TYPE_CHECKING
 
 from .findings import Finding
 from .suppressions import SuppressionMap, parse_suppressions
+
+if TYPE_CHECKING:  # pragma: no cover - dataflow imports this module
+    from .dataflow import TaintReach
 
 
 @dataclass
@@ -93,6 +98,13 @@ class FileContext:
             suppressions=parse_suppressions(source, posix),
             imports=_build_import_index(tree),
         )
+
+    @cached_property
+    def taint_reaches(self) -> list[TaintReach]:
+        """Every reach of the determinism-taint pass, computed once per file."""
+        from .dataflow import analyze_taint
+
+        return analyze_taint(self)
 
     def finding(
         self, rule_id: str, node: ast.AST, message: str

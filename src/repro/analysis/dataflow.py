@@ -94,10 +94,10 @@ class TaintReach:
     sink: str
 
 
-#: Default result sinks: calls whose arguments become results, cache keys,
+#: Result sinks: calls whose arguments become results, cache keys,
 #: event order, or RNG streams.  Matched against the resolved dotted name
 #: and its bare tail.
-DEFAULT_SINKS = frozenset(
+RESULT_SINKS = frozenset(
     {
         # fingerprints / cache keys / serialised results
         "canonical_json",
@@ -201,11 +201,9 @@ class FunctionTaintAnalysis:
         self,
         ctx: FileContext,
         on_reach: Callable[[TaintReach], None],
-        sinks: frozenset[str] = DEFAULT_SINKS,
     ) -> None:
         self.ctx = ctx
         self.on_reach = on_reach
-        self.sinks = sinks
         self.env: dict[str, Taint] = {}
         #: Names with float-accumulator evidence (``acc = 0.0``).
         self.float_names: set[str] = set()
@@ -486,7 +484,7 @@ class FunctionTaintAnalysis:
     # -- call scanning: sinks, accumulators, container mutations --------------
 
     def _is_sink(self, name: str) -> bool:
-        return name in self.sinks or name.split(".")[-1] in self.sinks
+        return name in RESULT_SINKS or name.split(".")[-1] in RESULT_SINKS
 
     def _scan_calls(self, node: ast.expr) -> None:
         """Check embedded calls for sink reaches and taint side effects."""
@@ -634,13 +632,11 @@ def iter_function_scopes(ctx: FileContext) -> Iterator[tuple[str, Sequence[ast.s
             yield node.name, node.body
 
 
-def analyze_taint(
-    ctx: FileContext, sinks: frozenset[str] = DEFAULT_SINKS
-) -> list[TaintReach]:
-    """Run the taint pass over every scope of *ctx*; returns every reach."""
+def analyze_taint(ctx: FileContext) -> list[TaintReach]:
+    """Every reach in *ctx*; rules read it once per file as ``ctx.taint_reaches``."""
     reaches: list[TaintReach] = []
     for _name, body in iter_function_scopes(ctx):
-        FunctionTaintAnalysis(ctx, reaches.append, sinks).run(body)
+        FunctionTaintAnalysis(ctx, reaches.append).run(body)
     reaches.sort(
         key=lambda r: (getattr(r.node, "lineno", 0), getattr(r.node, "col_offset", 0))
     )

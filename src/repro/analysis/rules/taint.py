@@ -1,12 +1,12 @@
 """Rules R9/R10: flow-aware determinism taint analysis.
 
-Both rules share the intraprocedural taint engine in
-:mod:`repro.analysis.dataflow`.  The split mirrors how violations are
-fixed: R9 findings (arbitrary order reaching a result sink) are fixed by
-sorting before materialising; R10 findings (float accumulation in
-arbitrary order) are fixed by folding over a sorted iterable, because
-float addition is not associative and the sum's low bits depend on
-visit order.
+Both rules read one run per file (``FileContext.taint_reaches``) of the
+intraprocedural taint engine in :mod:`repro.analysis.dataflow`.  The
+split mirrors how violations are fixed: R9 findings (arbitrary order
+reaching a result sink) are fixed by sorting before materialising; R10
+findings (float accumulation in arbitrary order) are fixed by folding over
+a sorted iterable, because float addition is not associative and the
+sum's low bits depend on visit order.
 
 These rules let unordered data *exist* freely — only an observation of
 its order is flagged (a result sink, a return, an attribute store, a
@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .. import scopes
 from ..context import FileContext
-from ..dataflow import TaintReach, analyze_taint
+from ..dataflow import TaintReach
 from ..findings import Finding
 from ..registry import Rule, register
 
@@ -62,7 +62,7 @@ class DeterminismTaintRule(Rule):
     scope = scopes.SIMULATION
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for reach in analyze_taint(ctx):
+        for reach in ctx.taint_reaches:
             if reach.sink == "accumulation":
                 continue  # R10's half of the shared pass
             yield ctx.finding(
@@ -89,7 +89,7 @@ class UnorderedAccumulationRule(Rule):
     scope = scopes.SIMULATION
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for reach in analyze_taint(ctx):
+        for reach in ctx.taint_reaches:
             if reach.sink != "accumulation":
                 continue
             yield ctx.finding(

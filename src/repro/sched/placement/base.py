@@ -127,6 +127,13 @@ class PlacementPolicy(abc.ABC):
     def on_free(self, cluster: Cluster, job_id: JobId, placement: dict[NodeId, int]) -> None:
         """Called by the simulator after a job's resources are released."""
 
+    def verify_invariants(self, cluster: Cluster) -> None:
+        """Audit the policy's own books against *cluster* (raise on drift).
+
+        Called at every audit checkpoint under ``SimConfig.audit``.
+        Default: no-op; stateful allocators check what they keep.
+        """
+
     def _assemble(
         self,
         cluster: Cluster,

@@ -243,8 +243,8 @@ class WorkflowMetrics:
     longest dependency chain of stage durations, assuming zero queueing,
     zero transfer, and unit execution speed — on any run with a unit
     execution model, ``makespan >= critical_path`` must hold per workflow
-    (``min_slack_s >= 0``), which :mod:`repro.sim.simulator` audits under
-    ``debug_invariants``.  Stage waiting decomposes into *dependency hold*
+    (``min_slack_s >= 0``), which :mod:`repro.sim.simulator` audits at the
+    end of every run.  Stage waiting decomposes into *dependency hold*
     (submit → last upstream finished) and *post-release queueing*
     (released → started): the first is the workflow's own structure, the
     second is the cluster's congestion — only the second is the

@@ -71,13 +71,13 @@ class SimConfig:
             (checkpoint granularity).
         provisioning: When True, runtime provisioning time (execution layer)
             is charged at the start of every attempt.
-        verify_every: Audit cluster invariants every N events (0 = off;
-            tests use small values, benchmarks 0).
-        debug_invariants: Additionally audit cluster invariants on a
-            sampled fraction of *scheduler passes* (0 = off, 1.0 = every
-            pass).  Sampling is a deterministic stride on the pass
-            counter — no RNG draws — so enabling it never perturbs the
-            simulated outcome, only adds checking.
+        audit: Audit the books at the end of every scheduler pass, job
+            finish and node failure: cluster invariants, the placement
+            policy's own books, and no dependency-held job in the
+            scheduler queue.  Audits draw no randomness, so enabling them
+            never perturbs the simulated outcome, only adds checking.  The
+            end-of-run audit (conservation, drain, workflow bound) runs on
+            every run regardless.
         max_events: Safety valve against livelocked policies.
         seed: Seed for simulator-owned randomness (provisioning failures,
             node failure sampling).
@@ -100,8 +100,7 @@ class SimConfig:
     sample_interval_s: float = 600.0
     checkpoint_loss_s: float = 30.0
     provisioning: bool = False
-    verify_every: int = 0
-    debug_invariants: float = 0.0
+    audit: bool = False
     max_events: int | None = None
     seed: int = 0
     enforce_walltime: bool = False
@@ -302,8 +301,7 @@ class ClusterSimulator:
         metrics = summarize(
             self.jobs, self.metrics, now, self.controller.log, serving=serving_metrics
         )
-        if self.config.debug_invariants > 0:
-            self._verify_workflow_bound(metrics)
+        self._audit_end_of_run(now, metrics)
         return SimulationResult(
             scheduler=self.scheduler.name,
             placement=self.scheduler.placement.name,
@@ -409,13 +407,8 @@ class ClusterSimulator:
         )
         self.scheduler.schedule(ctx)
         self.perf.scheduler_passes += 1
-        fraction = self.config.debug_invariants
-        if fraction > 0:
-            stride = max(1, round(1.0 / fraction))
-            if self.perf.scheduler_passes % stride == 0:
-                self.cluster.verify_invariants()
-                self._verify_no_held_in_queue()
-        self._maybe_verify()
+        if self.config.audit:
+            self._audit()
 
     def _on_finish(self, now: float, event: JobFinish) -> None:
         job = self.jobs[event.job_id]
@@ -424,7 +417,8 @@ class ClusterSimulator:
         outcome, category = self.controller.pop_outcome(job.job_id, event.attempt)
         self.controller.finish(now, job, outcome, category)
         self._request_tick(now)
-        self._maybe_verify()
+        if self.config.audit:
+            self._audit()
 
     def _on_sample(self, now: float, event: MetricsSample) -> None:
         self.metrics.sample(
@@ -443,7 +437,8 @@ class ClusterSimulator:
         assert injector is not None
         self.engine.schedule_in(injector.repair_time_s(), NodeRepair(event.node_id))
         self._request_tick(now)
-        self._maybe_verify()
+        if self.config.audit:
+            self._audit()
 
     def _on_stage_complete(self, now: float, event: StageComplete) -> None:
         assert self.storage is not None
@@ -587,35 +582,56 @@ class ClusterSimulator:
         self._feasibility_cache[key] = feasible
         return feasible
 
-    def _maybe_verify(self) -> None:
-        every = self.config.verify_every
-        if every and self.engine.events_processed % every == 0:
-            self.cluster.verify_invariants()
+    def _audit(self) -> None:
+        """Per-checkpoint audit (under ``SimConfig.audit``).
 
-    def _verify_no_held_in_queue(self) -> None:
-        """Audit: dependency-held stages must be invisible to the scheduler.
-
-        ``hold_for_deps`` never enqueues, so a PENDING_DEPS job in the
-        scheduler queue means a lifecycle edge leaked around the control
-        plane.
+        Cluster books, the placement policy's own books, and no
+        dependency-held job in the scheduler queue: ``hold_for_deps``
+        never enqueues, so a PENDING_DEPS job there means a lifecycle edge
+        leaked around the control plane.
         """
+        self.cluster.verify_invariants()
+        self.scheduler.placement.verify_invariants(self.cluster)
         for job in self.scheduler.queue:
             if job.lifecycle is LifecycleState.PENDING_DEPS:
                 raise SimulationError(
                     f"dependency-held job {job.job_id} leaked into the scheduler queue"
                 )
 
-    def _verify_workflow_bound(self, metrics: SimMetrics) -> None:
-        """Audit: no completed workflow may beat its critical-path bound.
-
-        The bound assumes stages run at their nominal duration, so it is
-        only exact under the unit execution model; runs with speedup or
-        interference models skip the check.
-        """
+    def _audit_end_of_run(self, now: float, metrics: SimMetrics) -> None:
+        """End-of-run audit, on every run: allocated GPU-seconds equal what
+        the jobs were charged (a live attempt up to *now*); a drained event
+        queue leaves every job terminal and no GPU allocated; no workflow
+        beat its critical path (exact only under the unit execution model,
+        which runs stages at their nominal duration)."""
+        charged = 0.0
+        for job in self.jobs.values():
+            charged += job.gpu_seconds_used
+            if job.lifecycle is LifecycleState.RUNNING and job.last_start_time is not None:
+                charged += (now - job.last_start_time) * (job.current_gpus or job.num_gpus)
+        served = self.metrics.served_gpu_seconds(now)
+        if abs(served - charged) > max(1.0, 1e-9 * abs(served)):
+            raise SimulationError(
+                f"GPU-seconds not conserved: allocated {served:.6f}, "
+                f"charged to jobs {charged:.6f}"
+            )
+        if self.engine.pending == 0:
+            for job in self.jobs.values():
+                if not job.lifecycle.terminal:
+                    raise SimulationError(
+                        f"event queue drained with job {job.job_id} still {job.lifecycle.value}"
+                    )
+            if self.cluster.used_gpus:
+                raise SimulationError(
+                    f"event queue drained with {self.cluster.used_gpus} GPUs allocated"
+                )
         workflow = metrics.workflow
-        if workflow is None or type(self.exec_model) is not UnitExecutionModel:
-            return
-        if workflow.completed_workflows and workflow.min_slack_s < -1e-6:
+        if (
+            workflow is not None
+            and type(self.exec_model) is UnitExecutionModel
+            and workflow.completed_workflows
+            and workflow.min_slack_s < -1e-6
+        ):
             raise SimulationError(
                 "workflow makespan beat its critical-path lower bound "
                 f"(min slack {workflow.min_slack_s:.6f}s)"

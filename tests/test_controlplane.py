@@ -272,7 +272,7 @@ def quota_sim(jobs, **config_kwargs):
     cluster = uniform_cluster(2, gpus_per_node=8)
     quota = QuotaConfig.equal_shares(["lab-a", "lab-b"], cluster.total_gpus, fraction=0.5)
     scheduler = TieredQuotaScheduler(quota)
-    config = SimConfig(sample_interval_s=0.0, verify_every=1, **config_kwargs)
+    config = SimConfig(sample_interval_s=0.0, audit=True, **config_kwargs)
     sim = ClusterSimulator(cluster, scheduler, Trace(list(jobs), name="unit"), config=config)
     return sim, scheduler, cluster
 

@@ -32,7 +32,7 @@ def run_trace(scheduler, jobs, num_nodes=1, exec_model=None, until=None):
         scheduler,
         Trace(list(jobs)),
         exec_model=exec_model or ExecutionModel(),
-        config=SimConfig(sample_interval_s=0.0, verify_every=25, checkpoint_loss_s=0.0),
+        config=SimConfig(sample_interval_s=0.0, audit=True, checkpoint_loss_s=0.0),
     )
     return simulator.run(until=until), cluster
 

@@ -178,7 +178,7 @@ class TestReleaseLedgerExactness:
             cluster,
             _AuditingEasy(),
             trace,
-            config=SimConfig(sample_interval_s=0.0, verify_every=200),
+            config=SimConfig(sample_interval_s=0.0, audit=True),
         )
         result = simulator.run()
         assert _AuditingEasy.audits > 50  # the comparison actually ran

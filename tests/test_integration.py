@@ -34,10 +34,10 @@ def campus_run(scheduler_name="backfill-easy", seed=21, load=0.9, days=2.0, **kw
         scheduler,
         trace,
         exec_model=ExecutionModel(),
-        # debug_invariants: audit cluster invariants on a sample of
-        # scheduler passes in every integration run (deterministic stride,
+        # audit: check the cluster and placement books at every scheduler
+        # pass, finish and failure in every integration run (no RNG draws,
         # so it cannot change outcomes).
-        config=SimConfig(sample_interval_s=1800.0, debug_invariants=0.1),
+        config=SimConfig(sample_interval_s=1800.0, audit=True),
         **kwargs,
     )
     return result, cluster, trace
@@ -190,7 +190,7 @@ class TestPlacementSystemLevel:
             scheduler,
             trace,
             exec_model=ExecutionModel(),
-            config=SimConfig(sample_interval_s=0.0, verify_every=500),
+            config=SimConfig(sample_interval_s=0.0, audit=True),
         )
         placement.verify_invariants(cluster)
         assert result.metrics.jobs_unfinished == 0

@@ -73,7 +73,7 @@ def test_invariants_hold_for_any_workload_and_policy(job_dicts, policy):
         build_scheduler(policy),
         trace,
         exec_model=UnitExecutionModel(),
-        config=SimConfig(sample_interval_s=0.0, verify_every=1, max_events=500_000),
+        config=SimConfig(sample_interval_s=0.0, audit=True, max_events=500_000),
     )
     result = simulator.run(until=30 * 86400.0)
     cluster.verify_invariants()
@@ -203,7 +203,7 @@ def test_invariants_with_every_feature_enabled(job_dicts):
         failure_config=FailureConfig(mtbf_hours=48.0, repair_hours_median=0.2),
         config=SimConfig(
             sample_interval_s=0.0,
-            verify_every=1,
+            audit=True,
             provisioning=True,
             enforce_walltime=True,
             max_job_preemptions=3,

@@ -19,7 +19,7 @@ def run_trace(scheduler, jobs, num_nodes=1):
         cluster,
         scheduler,
         Trace(list(jobs)),
-        config=SimConfig(sample_interval_s=0.0, verify_every=10),
+        config=SimConfig(sample_interval_s=0.0, audit=True),
     )
     return simulator.run(), cluster
 

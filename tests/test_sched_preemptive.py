@@ -19,7 +19,7 @@ def run_trace(scheduler, jobs, num_nodes=1, until=None):
         cluster,
         scheduler,
         Trace(list(jobs)),
-        config=SimConfig(sample_interval_s=0.0, verify_every=25, checkpoint_loss_s=0.0),
+        config=SimConfig(sample_interval_s=0.0, audit=True, checkpoint_loss_s=0.0),
     )
     return simulator.run(until=until), cluster
 

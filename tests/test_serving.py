@@ -206,7 +206,7 @@ def run_fleet(days=1.0, autoscaled=True, peak_rps=60.0, seed=11, trace_days=1.0)
         cluster,
         TieredQuotaScheduler(QuotaConfig(quotas=quotas)),
         trace,
-        config=SimConfig(sample_interval_s=0.0, debug_invariants=0.2),
+        config=SimConfig(sample_interval_s=0.0, audit=True),
         serving=fleet,
     )
     return simulator.run(), trace

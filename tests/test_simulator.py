@@ -24,7 +24,7 @@ def run_jobs(jobs, num_nodes=2, scheduler=None, **kwargs):
     cluster = uniform_cluster(num_nodes, gpus_per_node=8)
     trace = Trace(list(jobs), name="unit")
     scheduler = scheduler or GreedyFifoScheduler()
-    kwargs.setdefault("config", SimConfig(verify_every=1, sample_interval_s=0.0))
+    kwargs.setdefault("config", SimConfig(audit=True, sample_interval_s=0.0))
     simulator = ClusterSimulator(cluster, scheduler, trace, **kwargs)
     return simulator.run(), cluster
 
@@ -56,7 +56,7 @@ class TestBasicExecution:
             cluster,
             GreedyFifoScheduler(),
             trace,
-            config=SimConfig(verify_every=10, sample_interval_s=0.0),
+            config=SimConfig(audit=True, sample_interval_s=0.0),
         )
         completed = [j for j in result.jobs.values() if j.lifecycle is LifecycleState.FINISHED]
         expected = sum(j.duration * j.num_gpus for j in completed)
@@ -78,7 +78,7 @@ class TestBasicExecution:
             trace,
             exec_model=ExecutionModel(),
             failure_config=FailureConfig(),
-            config=SimConfig(verify_every=10, sample_interval_s=0.0, seed=2),
+            config=SimConfig(audit=True, sample_interval_s=0.0, seed=2),
         )
         assert result.metrics.job_restarts > 0
         assert result.metrics.served_gpu_hours * 3600.0 == pytest.approx(
@@ -194,7 +194,7 @@ class TestNodeFailures:
             GreedyFifoScheduler(),
             trace,
             failure_config=config,
-            config=SimConfig(verify_every=5, sample_interval_s=0.0, seed=3),
+            config=SimConfig(audit=True, sample_interval_s=0.0, seed=3),
         )
         result = simulator.run()
         assert result.metrics.node_failures > 0

@@ -23,7 +23,7 @@ def run_trace(scheduler, jobs, num_nodes=1, checkpoint_loss=0.0):
         Trace(list(jobs)),
         exec_model=UnitExecutionModel(),
         config=SimConfig(
-            sample_interval_s=0.0, verify_every=20, checkpoint_loss_s=checkpoint_loss
+            sample_interval_s=0.0, audit=True, checkpoint_loss_s=checkpoint_loss
         ),
     )
     return simulator.run()

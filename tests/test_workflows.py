@@ -528,7 +528,7 @@ def _run(jobs, nodes=2, gpus_per_node=2, **config_kwargs):
         Trace(jobs, name="t"),
         exec_model=UnitExecutionModel(),
         config=SimConfig(
-            sample_interval_s=0.0, debug_invariants=1.0, **config_kwargs
+            sample_interval_s=0.0, audit=True, **config_kwargs
         ),
     )
     return simulator, simulator.run()
@@ -608,7 +608,7 @@ class TestDependencyLifecycle:
             trace,
             exec_model=UnitExecutionModel(),
             config=SimConfig(
-                sample_interval_s=0.0, debug_invariants=1.0, verify_every=100
+                sample_interval_s=0.0, audit=True
             ),
         )
         result = simulator.run()
@@ -616,8 +616,8 @@ class TestDependencyLifecycle:
         assert workflow is not None
         assert workflow.completed_workflows > 0
         # Satellite 3: simulated makespan respects the analytical bound
-        # (also audited in-run by debug_invariants above).  Tolerance
-        # matches the in-sim check: summing the same chain of stage
+        # (also checked by the simulator's end-of-run audit).  Tolerance
+        # matches that check: summing the same chain of stage
         # durations in a different order drifts by ~1e-12.
         assert workflow.min_slack_s >= -1e-6
         assert workflow.makespan_mean_s >= workflow.critical_path_mean_s - 1e-6
