@@ -1,14 +1,9 @@
 """Rule registry: one place that knows every simlint rule.
 
 Rules self-register via the :func:`register` decorator at import time (the
-:mod:`repro.analysis.rules` package imports each rule module).  Two rule
-shapes exist:
-
-* :class:`Rule` — pure per-file checks; ``check(ctx)`` yields findings for
-  one :class:`~repro.analysis.context.FileContext`;
-* :class:`ProjectRule` — whole-project checks that need every file at once
-  (e.g. the event-priority table must cover subclasses defined anywhere);
-  ``check_project(contexts)`` yields findings over all of them.
+:mod:`repro.analysis.rules` package imports each rule module).  Every rule
+is a per-file :class:`Rule`: ``check(ctx)`` yields findings for one
+:class:`~repro.analysis.context.FileContext`.
 
 Each rule carries its id, a short name, the invariant's rationale (surfaced
 by ``--list-rules`` and the docs), and the path *scope* it applies to —
@@ -19,14 +14,14 @@ answers "where does this fire?".
 from __future__ import annotations
 
 import abc
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .context import FileContext
 from .findings import Finding
 
 
-class BaseRule(abc.ABC):
-    """Shared metadata contract of per-file and project rules."""
+class Rule(abc.ABC):
+    """A per-file rule and its metadata."""
 
     #: Stable short identifier, e.g. ``R1`` — what suppressions name.
     id: str = ""
@@ -44,32 +39,15 @@ class BaseRule(abc.ABC):
             return False
         return not (self.exempt and ctx.path_matches(self.exempt))
 
-
-class Rule(BaseRule):
-    """A per-file rule."""
-
     @abc.abstractmethod
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         """Yield findings for one file (already scope-filtered)."""
 
 
-class ProjectRule(BaseRule):
-    """A rule that inspects every analyzed file together.
-
-    The runner calls :meth:`check_project` once per run with every parsed
-    in-scope file; its findings go through the same suppression filter
-    as per-file findings.
-    """
-
-    @abc.abstractmethod
-    def check_project(self, contexts: Sequence[FileContext]) -> Iterator[Finding]:
-        """Yield findings over every in-scope file, given in path order."""
+_RULES: dict[str, Rule] = {}
 
 
-_RULES: dict[str, BaseRule] = {}
-
-
-def register(rule_class: type[BaseRule]) -> type[BaseRule]:
+def register(rule_class: type[Rule]) -> type[Rule]:
     """Class decorator: instantiate and register a rule by its id."""
     rule = rule_class()
     if not rule.id or not rule.name:
@@ -80,7 +58,7 @@ def register(rule_class: type[BaseRule]) -> type[BaseRule]:
     return rule_class
 
 
-def all_rules() -> tuple[BaseRule, ...]:
+def all_rules() -> tuple[Rule, ...]:
     """Every registered rule, ordered by id (R1, R2, …, R10, …)."""
     from . import rules  # noqa: F401  — importing populates the registry
 
@@ -92,7 +70,7 @@ def all_rules() -> tuple[BaseRule, ...]:
     return tuple(_RULES[rule_id] for rule_id in sorted(_RULES, key=_order))
 
 
-def rule_by_id(rule_id: str) -> BaseRule:
+def rule_by_id(rule_id: str) -> Rule:
     from . import rules  # noqa: F401
 
     if rule_id not in _RULES:

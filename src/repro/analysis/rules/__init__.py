@@ -10,7 +10,6 @@ from __future__ import annotations
 from . import (  # noqa: F401  — imported for registration side effects
     determinism,
     encapsulation,
-    events,
     hygiene,
     numerics,
     speccheck,

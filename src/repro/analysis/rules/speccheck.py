@@ -1,26 +1,15 @@
-"""Rules R12/R13: frozen spec classes must be fully fingerprinted and
-never mutated after construction.
+"""Rule R13: frozen spec classes are never mutated after construction.
 
 The sweep/content-address cache keys every artifact on spec fingerprints
 (``SimCell.spec_json``, ``TaskSpec.fingerprint``, ``WorkflowSpec.
-fingerprint``, …).  Two silent ways to poison that cache:
+fingerprint``, …).  Mutating a frozen spec after construction via
+``object.__setattr__`` poisons that cache: the spec's fingerprint no longer
+describes the object, so whatever was cached under it is stale.  The only
+legitimate site is ``__post_init__`` (derived-field initialisation before
+the value escapes).
 
-* **R12** — a dataclass field added to a spec but not consumed by its
-  fingerprint/canonical-JSON encoding: two semantically different specs
-  then collide on one cache key and the second run returns the first
-  run's results.
-* **R13** — mutating a frozen spec after construction via
-  ``object.__setattr__``: the spec's fingerprint no longer describes the
-  object, so whatever was cached under it is stale.  The only legitimate
-  site is ``__post_init__`` (derived-field initialisation before the
-  value escapes).
-
-R12 is syntactic and per-class: a class is checked only when it defines
-one of the encoding entry points (``fingerprint`` / ``spec_json`` /
-``cache_key``); consumption is the closure of ``self.<attr>`` reads
-through same-class method calls, and a call that encodes ``self``
-generically (``canonical_json(self)``, ``asdict(self)``, ``vars(self)``,
-``dataclasses.fields``/``getattr`` reflection) consumes every field.
+That every spec field reaches its fingerprint at all is a runtime
+contract, held by ``tests/test_spec_fingerprints.py``.
 """
 
 from __future__ import annotations
@@ -33,144 +22,8 @@ from ..context import FileContext
 from ..findings import Finding
 from ..registry import Rule, register
 
-#: Methods whose presence marks a class as cache-key-producing.
-ENCODING_METHODS = frozenset({"fingerprint", "spec_json", "cache_key"})
-#: Calls that consume every field of ``self`` generically.
-_GENERIC_ENCODERS = frozenset(
-    {"canonical_json", "asdict", "astuple", "vars", "fields", "getattr"}
-)
 #: Functions allowed to call ``object.__setattr__`` (construction time).
 _SETATTR_OWNERS = frozenset({"__post_init__", "__init__", "__new__", "__setstate__"})
-
-
-def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        if not isinstance(decorator, ast.Call):
-            continue
-        func = decorator.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None
-        )
-        if name != "dataclass":
-            continue
-        for keyword in decorator.keywords:
-            if keyword.arg == "frozen" and isinstance(keyword.value, ast.Constant):
-                return bool(keyword.value.value)
-    return False
-
-
-def _is_classvar(annotation: ast.expr) -> bool:
-    if isinstance(annotation, ast.Subscript):
-        annotation = annotation.value
-    if isinstance(annotation, ast.Attribute):
-        return annotation.attr == "ClassVar"
-    return isinstance(annotation, ast.Name) and annotation.id == "ClassVar"
-
-
-def _self_attrs(body: list[ast.stmt]) -> set[str]:
-    """Every ``self.<attr>`` read anywhere in a method body."""
-    attrs: set[str] = set()
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-            ):
-                attrs.add(node.attr)
-    return attrs
-
-
-def _encodes_generically(body: list[ast.stmt]) -> bool:
-    """True when the body hands ``self`` to a whole-object encoder."""
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else None
-            )
-            if name not in _GENERIC_ENCODERS:
-                continue
-            for arg in node.args:
-                if isinstance(arg, ast.Name) and arg.id == "self":
-                    return True
-                if (  # fields(type(self)) / vars(type(self))
-                    isinstance(arg, ast.Call)
-                    and isinstance(arg.func, ast.Name)
-                    and arg.func.id == "type"
-                    and arg.args
-                    and isinstance(arg.args[0], ast.Name)
-                    and arg.args[0].id == "self"
-                ):
-                    return True
-    return False
-
-
-@register
-class FingerprintCoverageRule(Rule):
-    """R12: every field of a fingerprinted spec reaches its encoding."""
-
-    id = "R12"
-    name = "fingerprint-coverage"
-    rationale = (
-        "Spec fingerprints are cache keys: a dataclass field the encoding "
-        "skips makes two different specs collide on one key, silently "
-        "serving one spec's cached results for the other."
-    )
-    scope = scopes.SIMULATION
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not (isinstance(node, ast.ClassDef) and _is_frozen_dataclass(node)):
-                continue
-            fields: dict[str, ast.AnnAssign] = {}
-            methods: dict[str, ast.FunctionDef] = {}
-            for stmt in node.body:
-                if (
-                    isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                    and not _is_classvar(stmt.annotation)
-                ):
-                    fields[stmt.target.id] = stmt
-                elif isinstance(stmt, ast.FunctionDef):
-                    methods[stmt.name] = stmt
-            triggers = sorted(ENCODING_METHODS & methods.keys())
-            if not triggers or not fields:
-                continue
-            consumed, generic = self._closure(methods, triggers)
-            if generic:
-                continue
-            for field_name in sorted(fields.keys() - consumed):
-                yield ctx.finding(
-                    self.id,
-                    fields[field_name],
-                    f"field '{field_name}' of frozen spec {node.name} is not "
-                    f"consumed by its {'/'.join(triggers)} encoding; an "
-                    "unfingerprinted field lets two different specs share "
-                    "one cache key — encode it or move it off the spec",
-                )
-
-    def _closure(
-        self, methods: dict[str, ast.FunctionDef], triggers: list[str]
-    ) -> tuple[set[str], bool]:
-        """(self-attrs reachable from triggers, hit a generic encoder?)."""
-        consumed: set[str] = set()
-        visited: set[str] = set()
-        worklist = list(triggers)
-        while worklist:
-            name = worklist.pop()
-            if name in visited:
-                continue
-            visited.add(name)
-            method = methods[name]
-            if _encodes_generically(method.body):
-                return consumed, True
-            attrs = _self_attrs(method.body)
-            consumed |= attrs
-            worklist.extend(attr for attr in attrs if attr in methods)
-        return consumed, False
 
 
 @register

@@ -7,8 +7,8 @@ File order, finding order and report text are all deterministically sorted
 — the analyzer is held to the same reproducibility bar it enforces.
 
 Every front door ends in :func:`analyze_sources`: one serial, uncached
-pass that builds the contexts, runs per-file and project rules, and
-filters inline suppressions.  A cold run over the whole repository takes
+pass that builds the contexts, runs the rules on each file, and filters
+inline suppressions.  A cold run over the whole repository takes
 about 3 s, so there is nothing to cache.
 """
 
@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .context import FileContext
 from .findings import Finding
-from .registry import ProjectRule, Rule, all_rules
+from .registry import all_rules
 
 #: Directory names never descended into.
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "node_modules"})
@@ -112,49 +112,36 @@ def analyze_sources(sources: Sequence[tuple[str, bytes]]) -> AnalysisReport:
     """Run every rule over ``(display path, file bytes)`` pairs.
 
     Files are visited in path order; each contributes its malformed or
-    unknown-rule suppression directives and per-file rule findings, then
-    every project rule sees all parsed files at once.  Suppressions are
-    filtered last, and the result is sorted by location.
+    unknown-rule suppression directives and the rule findings its inline
+    suppressions do not waive.  The result is sorted by location.
     """
     started = time.perf_counter()
     rules = all_rules()
     known_ids = {rule.id for rule in rules} | {"all"}
     stats = LintStats()
-    findings: list[Finding] = []
-    contexts: list[FileContext] = []
+    kept: list[Finding] = []
     for path, data in sorted(sources, key=lambda pair: pair[0]):
         parsed = _parse(path, data)
         if isinstance(parsed, Finding):
-            findings.append(parsed)
+            kept.append(parsed)
             continue
-        contexts.append(parsed)
-        findings.extend(parsed.suppressions.errors)
+        findings = list(parsed.suppressions.errors)
         findings.extend(
             Finding("S0", parsed.path, line, col, f"unknown simlint rule {rule_id!r}")
             for line, col, rule_id in parsed.suppressions.named
             if rule_id not in known_ids
         )
         for rule in rules:
-            if isinstance(rule, Rule) and rule.applies_to(parsed):
+            if rule.applies_to(parsed):
                 rule_started = time.perf_counter()
                 findings.extend(rule.check(parsed))
                 stats.charge(rule.id, time.perf_counter() - rule_started)
-    for rule in rules:
-        if isinstance(rule, ProjectRule):
-            rule_started = time.perf_counter()
-            findings.extend(
-                rule.check_project([ctx for ctx in contexts if rule.applies_to(ctx)])
-            )
-            stats.charge(rule.id, time.perf_counter() - rule_started)
-
-    suppressions_of = {ctx.path: ctx.suppressions for ctx in contexts}
-    kept = [
-        finding
-        for finding in findings
-        if finding.rule_id in _UNSUPPRESSABLE
-        or finding.path not in suppressions_of
-        or not suppressions_of[finding.path].is_suppressed(finding.rule_id, finding.line)
-    ]
+        kept.extend(
+            finding
+            for finding in findings
+            if finding.rule_id in _UNSUPPRESSABLE
+            or not parsed.suppressions.is_suppressed(finding.rule_id, finding.line)
+        )
     kept.sort(key=lambda finding: finding.sort_key)
     stats.wall_seconds = time.perf_counter() - started
     return AnalysisReport(

@@ -55,14 +55,11 @@ class FairShareScheduler(OrderedQueueScheduler):
         # Charge running jobs' accrued usage so priorities reflect the
         # present, then run the ordinary ordered pass.
         for job in ctx.running.values():
-            if job.last_start_time is not None:
-                elapsed = ctx.now - job.last_start_time
-                live = elapsed * job.num_gpus
-                booked = self._accounted.get(job.job_id, 0.0)
-                total_booked = job.gpu_seconds_used + live
-                if total_booked > booked:
-                    self.usage.add(job.user_id, total_booked - booked, ctx.now)
-                    self._accounted[job.job_id] = total_booked
+            booked = self._accounted.get(job.job_id, 0.0)
+            total_booked = job.gpu_seconds_at(ctx.now)
+            if total_booked > booked:
+                self.usage.add(job.user_id, total_booked - booked, ctx.now)
+                self._accounted[job.job_id] = total_booked
         super().schedule(ctx)
 
     def sort_key(self, job: Job, now: float):

@@ -18,8 +18,8 @@ never happens when the preferred nodes are idle, so a deferred job can
 always be re-awakened by the release that motivated the wait.
 
 Jobs without artifact-bearing dependencies (all non-workflow traffic) fall
-through to plain best-fit ranking, byte-identical to
-:class:`~repro.sched.placement.best_fit.BestFitPlacement`.
+through to the inherited
+:meth:`~repro.sched.placement.best_fit.BestFitPlacement.place`.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from ...cluster.cluster import Cluster
 from ...cluster.node import Node
 from ...execlayer.transfer import artifact_fetch_seconds, transfer_seconds
 from ...ids import JobId, NodeId
-from ...workload.job import Job, ResourceRequest
-from .base import PlacementPolicy, candidate_nodes, placement_possible, request_chunks
+from ...workload.job import Job
+from .base import candidate_nodes, placement_possible, request_chunks
+from .best_fit import BestFitPlacement
 
 
-class TransferAwarePlacement(PlacementPolicy):
+class TransferAwarePlacement(BestFitPlacement):
     """Rank candidates by upstream-artifact fetch cost, then best-fit."""
 
     name = "transfer-aware"
@@ -56,18 +57,6 @@ class TransferAwarePlacement(PlacementPolicy):
     def bind(self, jobs: Mapping[JobId, Job]) -> None:
         self._jobs = jobs
         self._defers.clear()
-
-    # -- request-only fallback (identical to best-fit) -------------------------
-
-    def place(self, cluster: Cluster, request: ResourceRequest) -> dict[NodeId, int] | None:
-        if not placement_possible(cluster, request):
-            return None
-        chunk = request_chunks(request)[0]
-        ranked = sorted(
-            candidate_nodes(cluster, request, chunk),
-            key=lambda node: (node.free_gpus - chunk, node.node_id),
-        )
-        return self._assemble(cluster, request, ranked)
 
     # -- job-aware path --------------------------------------------------------
 

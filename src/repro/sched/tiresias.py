@@ -15,7 +15,7 @@ starvation is avoided by promoting jobs whose queue wait exceeds the
 from __future__ import annotations
 
 from ..config import require_positive
-from ..workload.job import Job, LifecycleState
+from ..workload.job import Job
 from .base import ScheduleContext, Scheduler, drain_order, eligible_victims
 from .placement.base import PlacementPolicy
 
@@ -57,10 +57,7 @@ class TiresiasScheduler(Scheduler):
 
     def attained_service(self, job: Job, now: float) -> float:
         """GPU-seconds of service attained, including the live segment."""
-        attained = job.gpu_seconds_used
-        if job.lifecycle is LifecycleState.RUNNING and job.last_start_time is not None:
-            attained += (now - job.last_start_time) * job.num_gpus
-        return attained
+        return job.gpu_seconds_at(now)
 
     def queue_index(self, job: Job, now: float) -> int:
         """0 = high priority (little service), 1 = demoted."""

@@ -321,7 +321,7 @@ class ClusterSimulator:
         job = self.jobs[event.job_id]
         if job.lifecycle.terminal:
             return  # killed while still pending (tcloud cancel before arrival)
-        if not self._admit_partition(job) or not self._statically_feasible(job):
+        if not self._admit_partition(job) or not self.statically_feasible(job):
             self.controller.reject(now, job)
             return
         if job.depends_on:
@@ -394,7 +394,7 @@ class ClusterSimulator:
     def _on_quantum(self, now: float, event: QuantumExpiry) -> None:
         self._run_scheduler_pass(now)
         quantum = self.scheduler.tick_interval()
-        if quantum is not None and self._work_remains():
+        if quantum is not None and self.controller.work_remains():
             self.engine.schedule_in(quantum, QuantumExpiry())
 
     def _run_scheduler_pass(self, now: float) -> None:
@@ -424,7 +424,7 @@ class ClusterSimulator:
         self.metrics.sample(
             now, self.cluster.used_gpus, self.scheduler.queue_depth, len(self.running)
         )
-        if self.config.sample_interval_s > 0 and self._work_remains():
+        if self.config.sample_interval_s > 0 and self.controller.work_remains():
             self.engine.schedule_in(self.config.sample_interval_s, MetricsSample())
 
     def _on_node_failure(self, now: float, event: NodeFailure) -> None:
@@ -448,7 +448,7 @@ class ClusterSimulator:
         self.controller.apply_node_repair(now, event.node_id)
         assert self._failure_injector is not None
         node = self.cluster.node(event.node_id)
-        if self._work_remains():
+        if self.controller.work_remains():
             self.engine.schedule_in(
                 self._failure_injector.time_to_failure_s(node), NodeFailure(event.node_id)
             )
@@ -529,24 +529,13 @@ class ClusterSimulator:
             self._tick_pending = True
             self.engine.schedule_at(now, SchedulerTick())
 
-    def _work_remains(self) -> bool:
-        return self.controller.work_remains()
-
     def statically_feasible(self, job: Job) -> bool:
-        """Public static-feasibility probe (memoized; used by routers).
-
-        True iff the request could ever be satisfied on this cluster when
-        empty and healthy — the same verdict arrival admission applies.
-        """
-        return self._statically_feasible(job)
-
-    def _statically_feasible(self, job: Job) -> bool:
         """Could this request EVER be satisfied on an empty, healthy cluster?
 
-        The verdict depends only on static node specs and the request
-        *shape*, so it is memoized per distinct shape — arrival processing
-        does the O(cluster) spec scan once per shape instead of once per
-        job.
+        Arrival admission applies this verdict, and federation routers probe
+        it.  It depends only on static node specs and the request *shape*,
+        so it is memoized per distinct shape — arrival processing does the
+        O(cluster) spec scan once per shape instead of once per job.
         """
         request = job.request
         chunks = request_chunks(request)
@@ -606,9 +595,7 @@ class ClusterSimulator:
         which runs stages at their nominal duration)."""
         charged = 0.0
         for job in self.jobs.values():
-            charged += job.gpu_seconds_used
-            if job.lifecycle is LifecycleState.RUNNING and job.last_start_time is not None:
-                charged += (now - job.last_start_time) * (job.current_gpus or job.num_gpus)
+            charged += job.gpu_seconds_at(now)
         served = self.metrics.served_gpu_seconds(now)
         if abs(served - charged) > max(1.0, 1e-9 * abs(served)):
             raise SimulationError(

@@ -161,10 +161,7 @@ class TaccFrontend:
             queued = sorted(self.scheduler.queue, key=lambda j: (j.submit_time, j.job_id))
             ids = [j.job_id for j in queued]
             queue_position = ids.index(job.job_id) + 1 if job.job_id in ids else None
-        progress = job.work_done / job.duration if job.duration else 0.0
-        if job.lifecycle is LifecycleState.RUNNING and job.last_start_time is not None:
-            live = (self.now - job.last_start_time) / job.current_slowdown
-            progress = min(1.0, (job.work_done + live) / job.duration)
+        progress = (job.duration - job.remaining_work_at(self.now)) / job.duration
         return JobStatus(
             job_id=job.job_id,
             name=job.name,

@@ -320,6 +320,13 @@ class Job:
             return max(0.0, self.remaining_work - elapsed / self.current_slowdown)
         return self.remaining_work
 
+    def gpu_seconds_at(self, now: float) -> float:
+        """GPU-seconds charged so far, the live segment included up to *now*."""
+        used = self.gpu_seconds_used
+        if self.lifecycle is LifecycleState.RUNNING and self.last_start_time is not None:
+            used += (now - self.last_start_time) * (self.current_gpus or self.num_gpus)
+        return used
+
     def estimated_remaining(self, now: float) -> float:
         """Scheduler-visible remaining time based on the *user estimate*.
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cluster import (
     ClusterSpec,
     FabricSpec,
@@ -15,6 +19,16 @@ from repro.cluster import (
     uniform_cluster,
 )
 from repro.workload import Job, ResourceRequest
+
+
+@pytest.fixture(scope="session")
+def repro_modules():
+    """Every module of the package, imported (``__main__`` entry points skipped)."""
+    return [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith(".__main__")
+    ]
 
 
 @pytest.fixture

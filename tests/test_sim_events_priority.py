@@ -5,7 +5,7 @@ class must appear in it with a unique rank, so that any set of events
 sharing a timestamp dispatches in one well-defined order (with insertion
 sequence as the final tie-break within a class).  A new event class that
 forgets to register here would silently sort last — these tests make that
-a loud failure instead.
+a loud failure instead, wherever in the package the class is defined.
 """
 
 from __future__ import annotations
@@ -34,18 +34,29 @@ from repro.sim.events import (
 )
 
 
+def _subclasses(cls: type) -> list[type]:
+    direct = cls.__subclasses__()
+    return direct + [sub for child in direct for sub in _subclasses(child)]
+
+
 def all_event_classes() -> list[type]:
-    # Other test modules subclass Event for probes; only the simulator's
-    # own event vocabulary is bound by the PRIORITY contract.
-    return [
-        cls for cls in Event.__subclasses__() if cls.__module__ == Event.__module__
-    ]
+    """Every Event subclass the package defines, at any depth.
+
+    Other test modules subclass Event for probes; only the package's own
+    event vocabulary is bound by the PRIORITY contract.
+    """
+    return [cls for cls in _subclasses(Event) if cls.__module__.startswith("repro.")]
 
 
 class TestPriorityTable:
-    def test_every_event_class_has_a_priority(self):
-        missing = [cls.__name__ for cls in all_event_classes() if cls not in PRIORITY]
+    def test_every_event_class_has_a_priority(self, repro_modules):
+        classes = all_event_classes()
+        missing = [cls.__name__ for cls in classes if cls not in PRIORITY]
         assert not missing, f"event classes missing from PRIORITY: {missing}"
+        assert set(PRIORITY) <= set(classes), "discovery missed a ranked class"
+
+    def test_priorities_are_integers(self):
+        assert all(type(rank) is int for rank in PRIORITY.values()), PRIORITY
 
     def test_priorities_are_unique(self):
         ranks = list(PRIORITY.values())

@@ -1,6 +1,6 @@
 """simlint analyzer tests: every rule, suppressions, CLI, clean tree.
 
-Each rule R1–R13 is exercised by a bad/good fixture pair under
+Each rule is exercised by a bad/good fixture pair under
 ``tests/data/simlint/`` analyzed under a *virtual* path inside the rule's
 scope, so the fixtures live outside the real package tree (and the runner
 explicitly skips them during real scans — verified below).
@@ -28,7 +28,6 @@ RULE_FIXTURES = {
     "R1": ("r1", "src/repro/sim/fixture.py"),
     "R2": ("r2", "src/repro/sim/fixture.py"),
     "R3": ("r3", "src/repro/sched/fixture.py"),
-    "R4": ("r4", "src/repro/sim/events_fixture.py"),
     "R5": ("r5", "src/repro/experiments/fixture.py"),
     "R7": ("r7", "src/repro/sim/fixture.py"),
     "R8": ("r8", "src/repro/sim/fixture.py"),
@@ -36,7 +35,6 @@ RULE_FIXTURES = {
     # Order observed by scheduling code: the shapes the retired R6 banned.
     "R9-order": ("r9_order", "src/repro/sched/fixture.py"),
     "R10": ("r10", "src/repro/workload/fixture.py"),
-    "R12": ("r12", "src/repro/schema/fixture.py"),
     "R13": ("r13", "src/repro/sim/fixture.py"),
 }
 
@@ -100,17 +98,6 @@ class TestRules:
         source = fixture_source("r3_bad")
         assert analyze_source(source, "src/repro/controlplane/controller.py") == []
         assert analyze_source(source, "src/repro/workload/job.py") == []
-
-    def test_r4_flags_non_integer_rank(self):
-        source = (
-            "class Event:\n    pass\n\n"
-            "class Tick(Event):\n    pass\n\n"
-            'PRIORITY = {Tick: "high"}\n'
-        )
-        findings = analyze_source(source, "src/repro/sim/x.py")
-        # The string rank is flagged AND leaves Tick effectively unranked.
-        assert {f.rule_id for f in findings} == {"R4"}
-        assert any("integer" in f.message for f in findings)
 
     def test_r7_exempts_snapshot_module(self):
         source = fixture_source("r7_bad")
@@ -261,12 +248,12 @@ class TestOrderSinks:
 
 @pytest.fixture
 def tree(tmp_path: Path) -> Path:
-    """A small package tree with one per-file (R2) and one project (R4) finding."""
+    """A small package tree with one R1 and one R2 finding, in two files."""
     pkg = tmp_path / "tree" / "repro" / "sim"
     pkg.mkdir(parents=True)
     (pkg / "clean.py").write_text("x = 1\n")
     (pkg / "clock.py").write_text("import time\nt = time.time()\n")
-    (pkg / "ticks.py").write_text("class Event:\n    pass\n\nclass Tick(Event):\n    pass\n")
+    (pkg / "dice.py").write_text("import random\n")
     return tmp_path / "tree"
 
 
@@ -281,7 +268,7 @@ class TestRunner:
     def test_findings_are_byte_identical(self, tree, shape):
         sim = tree / "repro" / "sim"
         reference = analyze_paths([tree])
-        assert {f.rule_id for f in reference.findings} == {"R2", "R4"}
+        assert {f.rule_id for f in reference.findings} == {"R1", "R2"}
         paths = {
             "rerun": [tree],
             "reordered": sorted(sim.iterdir(), reverse=True),
@@ -294,9 +281,7 @@ class TestRunner:
     def test_suppressions_filter_project_rule_findings(self, tree):
         sim = tree / "repro" / "sim"
         (sim / "clock.py").write_text("import time\nt = time.time()  # simlint: disable=R2\n")
-        (sim / "ticks.py").write_text(
-            "class Event:\n    pass\n\nclass Tick(Event):  # simlint: disable=R4\n    pass\n"
-        )
+        (sim / "dice.py").write_text("import random  # simlint: disable=R1\n")
         assert analyze_paths([tree]).findings == []
 
 
@@ -361,8 +346,8 @@ class TestSuppressions:
         source = 'msg = "# simlint: disable"\n'
         assert analyze_source(source, self.SIM) == []
 
-    # An unregistered id (typo, retired R11/R6, wrong case) fails loudly.
-    @pytest.mark.parametrize("rule_id", ["R99", "R11", "R6", "r2"])
+    # An unregistered id (typo, retired R4/R6/R11/R12, wrong case) fails loudly.
+    @pytest.mark.parametrize("rule_id", ["R99", "R4", "R6", "R11", "R12", "r2"])
     def test_unknown_rule_id_is_a_finding(self, rule_id):
         source = f"import time\nt = time.time()  # simlint: disable={rule_id}\n"
         findings = analyze_source(source, self.SIM)
@@ -428,7 +413,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert re.search(r"^simlint stats: 1 file\(s\), wall \d+\.\d{3}s$", err, re.M)
         timed = re.findall(r"^ +(R\d+)  check +\d+\.\dms$", err, re.M)
-        assert {"R2", "R4"} <= set(timed)
+        assert {"R1", "R2"} <= set(timed)
         assert len(timed) == len(set(timed))
 
     def test_tcloud_lint_passes_stats_through(self, tmp_path, capsys):

@@ -92,6 +92,17 @@ class TestFrontend:
         assert status.state == "completed"
         assert status.progress == pytest.approx(1.0)
 
+    def test_progress_excludes_the_setup_head(self):
+        frontend = TaccFrontend()
+        job_id, _c, _w = frontend.submit(demo_spec(), duration_hint_s=50_000.0)
+        job = frontend.sim.jobs[job_id]
+        assert job.current_setup_s > 5.0
+        frontend.advance(5.0)
+        assert frontend.status(job_id).progress == 0.0
+        frontend.advance(job.current_setup_s - 5.0 + 100.0)
+        expected = 100.0 / job.current_slowdown / job.duration
+        assert frontend.status(job_id).progress == pytest.approx(expected)
+
     def test_validation_errors_block_submission(self):
         frontend = TaccFrontend()
         bad = demo_spec(resources=ResourceSpec(num_gpus=64, gpus_per_node=8, gpu_type="a100-80"))
