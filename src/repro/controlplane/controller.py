@@ -345,7 +345,7 @@ class ClusterController:
                 )
                 self.scheduler.notify_finish(job, now)
             else:
-                job.requeue(now, work_lost=True)
+                job.requeue(now)
                 self._apply(
                     now,
                     job,

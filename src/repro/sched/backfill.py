@@ -37,7 +37,7 @@ from ..cluster.cluster import Cluster
 from ..ids import JobId
 from ..workload.job import Job
 from .base import ScheduleContext, Scheduler
-from .placement.base import PlacementPolicy
+from .placement.base import PlacementPolicy, node_eligible
 
 #: One ledger record: (estimated absolute end, GPUs released, start sequence).
 _LedgerEntry = tuple[float, int, int]
@@ -53,21 +53,12 @@ class _Reservation:
         self.extra_gpus = extra_gpus
 
 
-def _node_eligible(ctx: ScheduleContext, job: Job, node) -> bool:
-    request = job.request
-    if request.gpu_type is not None and node.spec.gpu_type != request.gpu_type:
-        return False
-    if request.allowed_nodes is not None and node.node_id not in request.allowed_nodes:
-        return False
-    return True
-
-
 def _eligible_gpus_free(ctx: ScheduleContext, job: Job) -> int:
     """Free GPUs on healthy nodes this job could use (full scan)."""
     return sum(
         node.free_gpus
         for node in ctx.cluster.nodes.values()
-        if node.healthy and _node_eligible(ctx, job, node)
+        if node.healthy and node_eligible(node, job.request)
     )
 
 
@@ -82,7 +73,7 @@ def _release_schedule(ctx: ScheduleContext, job: Job) -> list[tuple[float, int]]
         gpus = 0
         for node_id in running.current_nodes:
             node = ctx.cluster.node(node_id)
-            if _node_eligible(ctx, job, node):
+            if node_eligible(node, job.request):
                 gpus += node.allocation_for(running.job_id).num_gpus
         if gpus:
             releases.append((ctx.now + running.estimated_remaining(ctx.now), gpus))

@@ -24,7 +24,7 @@ from ..cluster.cluster import Cluster
 from ..errors import SchedulingError
 from ..ids import JobId, NodeId
 from ..workload.job import Job
-from .placement.base import PlacementPolicy
+from .placement.base import PlacementPolicy, node_eligible
 from .placement.first_fit import FirstFitPlacement
 
 
@@ -174,6 +174,44 @@ class Scheduler(abc.ABC):
             self._blocked_at_epoch.pop(job.job_id, None)
         return placement
 
+    def preempt_until_placed(
+        self,
+        ctx: ScheduleContext,
+        job: Job,
+        candidates: Iterable[Job],
+        budget: int | None = None,
+    ) -> tuple[dict[NodeId, int] | None, int]:
+        """Evict *candidates* in :func:`drain_order` until *job* places.
+
+        The one eviction path of every preemptive policy, each passing its
+        own candidate set.  Victims are the candidates :meth:`is_preemptible`
+        accepts that hold a GPU on a node *job* may use (``node_eligible``):
+        evicting anything else frees nothing the job can take.  Evicts
+        nothing when the victims' GPUs plus the free GPUs cannot cover the
+        job; otherwise evicts at most *budget* victims (``None``: no limit),
+        retrying placement after each.  Returns ``(placement, evicted)``.
+        """
+        cluster = ctx.cluster
+        request = job.request
+        victims = [
+            candidate
+            for candidate in candidates
+            if self.is_preemptible(candidate)
+            and any(node_eligible(cluster.node(n), request) for n in candidate.current_nodes)
+        ]
+        if sum(victim.num_gpus for victim in victims) + cluster.free_gpus < job.num_gpus:
+            return None, 0  # eviction cannot possibly succeed; don't churn
+        evicted = 0
+        for victim in drain_order(victims):
+            if budget is not None and evicted >= budget:
+                break
+            ctx.preempt_job(victim)
+            evicted += 1
+            placement = self.try_place(ctx, job)
+            if placement is not None:
+                return placement, evicted
+        return None, evicted
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r} queued={len(self._queue)}>"
 
@@ -226,28 +264,3 @@ def drain_order(jobs: Iterable[Job]) -> list[Job]:
         jobs,
         key=lambda job: (-job.submit_time, job.num_gpus, job.job_id),
     )
-
-
-def eligible_victims(ctx: ScheduleContext, job: Job, candidates: Iterable[Job]) -> list[Job]:
-    """Filter eviction *candidates* to those holding GPUs *job* could use.
-
-    Evicting a victim on the wrong GPU type (or outside the job's
-    partition) frees nothing the waiting job can take — pure churn — so
-    preemptive policies restrict their victim pool to runs that overlap
-    the job's eligible node set.
-    """
-    request = job.request
-    victims = []
-    for candidate in candidates:
-        nodes = candidate.current_nodes
-        if not nodes:
-            continue
-        for node_id in nodes:
-            node = ctx.cluster.node(node_id)
-            if request.gpu_type is not None and node.spec.gpu_type != request.gpu_type:
-                continue
-            if request.allowed_nodes is not None and node_id not in request.allowed_nodes:
-                continue
-            victims.append(candidate)
-            break
-    return victims

@@ -41,13 +41,24 @@ def request_chunks(request: ResourceRequest) -> list[int]:
     return [per_node] * (request.num_gpus // per_node)
 
 
-def node_fits_chunk(node: Node, request: ResourceRequest, chunk: int) -> bool:
-    """True when *node* can host one chunk of *request* right now."""
+def node_eligible(node: Node, request: ResourceRequest) -> bool:
+    """True when *request* may use *node* at all: GPU type and partition.
+
+    The one statement of the rule, used by chunk fitting, backfill
+    reservations and eviction-victim selection.  Two hot scans apply it
+    without calling here: :func:`iter_candidate_nodes` and
+    ``ClusterSimulator.statically_feasible`` take nodes from the cluster
+    index's per-type pools (the type half) and test ``allowed_nodes``
+    (the partition half) inline.
+    """
     if request.gpu_type is not None and node.spec.gpu_type != request.gpu_type:
         return False
-    if request.allowed_nodes is not None and node.node_id not in request.allowed_nodes:
-        return False
-    return node.can_fit(
+    return request.allowed_nodes is None or node.node_id in request.allowed_nodes
+
+
+def node_fits_chunk(node: Node, request: ResourceRequest, chunk: int) -> bool:
+    """True when *node* can host one chunk of *request* right now."""
+    return node_eligible(node, request) and node.can_fit(
         chunk,
         cpus=request.cpus_per_gpu * chunk,
         memory_gb=request.memory_gb_per_gpu * chunk,

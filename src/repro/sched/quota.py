@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from ..errors import QuotaError
 from ..ids import JobId, LabId
 from ..workload.job import Job, JobTier
-from .base import ScheduleContext, Scheduler, drain_order
+from .base import ScheduleContext, Scheduler
 from .placement.base import PlacementPolicy
 
 
@@ -140,7 +140,15 @@ class TieredQuotaScheduler(Scheduler):
                 continue  # an earlier start in this pass consumed the headroom
             placement = self.try_place(ctx, job)
             if placement is None and preemption_budget > 0:
-                placement, evicted = self._reclaim(ctx, job, preemption_budget)
+                # Free tier: opportunistic runs and borrowers (no quota charge).
+                free_tier = (
+                    running
+                    for running in ctx.running.values()
+                    if running.job_id not in self._charged
+                )
+                placement, evicted = self.preempt_until_placed(
+                    ctx, job, free_tier, preemption_budget
+                )
                 preemption_budget -= evicted
             if placement is not None:
                 self._charged[job.job_id] = job.lab_id
@@ -164,39 +172,3 @@ class TieredQuotaScheduler(Scheduler):
                 # evictable the moment an entitled job needs the GPUs.
                 self._borrowed.add(job.job_id)
             ctx.start_job(job, placement)
-
-    def _reclaim(
-        self, ctx: ScheduleContext, job: Job, budget: int
-    ) -> tuple[dict | None, int]:
-        """Evict free-tier jobs until *job* places; returns (placement, evicted).
-
-        Victims are preemptible running jobs not charged to any quota —
-        opportunistic jobs and borrowers — taken in :func:`drain_order`
-        (latest-submitted, narrowest first) from nodes the entitled job
-        could actually use.
-        """
-        gpu_type = job.request.gpu_type
-        victims = []
-        for running in ctx.running.values():
-            if not self.is_preemptible(running) or running.job_id in self._charged:
-                continue
-            if gpu_type is not None:
-                on_eligible = any(
-                    ctx.cluster.node(n).spec.gpu_type == gpu_type
-                    for n in running.current_nodes
-                )
-                if not on_eligible:
-                    continue
-            victims.append(running)
-        if sum(v.num_gpus for v in victims) + ctx.cluster.free_gpus < job.num_gpus:
-            return None, 0  # reclaim cannot possibly succeed; don't churn
-        evicted = 0
-        for victim in drain_order(victims):
-            if evicted >= budget:
-                break
-            ctx.preempt_job(victim)
-            evicted += 1
-            placement = self.try_place(ctx, job)
-            if placement is not None:
-                return placement, evicted
-        return None, evicted

@@ -52,11 +52,9 @@ class SrtfScheduler(OrderedQueueScheduler):
 
     The classic mean-JCT-optimal single-machine discipline adapted to
     gangs: a queued job with less remaining work may evict preemptible
-    running jobs with more.  Eviction is attempted only when the total
-    evictable-longer capacity could actually host the queued job, and
-    stops at the first placement success, so the policy converges instead
-    of thrashing.  Uses true remaining work (oracle) — it is the JCT
-    upper-bound baseline, not a deployable policy.
+    running jobs with more, through :meth:`Scheduler.preempt_until_placed`.
+    Uses true remaining work (oracle) — it is the JCT upper-bound
+    baseline, not a deployable policy.
     """
 
     name = "srtf"
@@ -66,24 +64,15 @@ class SrtfScheduler(OrderedQueueScheduler):
         return job.remaining_work
 
     def schedule(self, ctx) -> None:
-        from .base import drain_order, eligible_victims
-
         super().schedule(ctx)  # plain greedy pass first
         for job in self.ordered_queue(ctx.now):
             if not job.lifecycle.queued:
                 continue
-            candidates = [
+            longer = (
                 running
                 for running in ctx.running.values()
-                if running.preemptible
-                and running.remaining_work_at(ctx.now) > job.remaining_work
-            ]
-            victims = eligible_victims(ctx, job, candidates)
-            if sum(v.num_gpus for v in victims) + ctx.cluster.free_gpus < job.num_gpus:
-                continue
-            for victim in drain_order(victims):
-                ctx.preempt_job(victim)
-                placement = self.try_place(ctx, job)
-                if placement is not None:
-                    ctx.start_job(job, placement)
-                    break
+                if running.remaining_work_at(ctx.now) > job.remaining_work
+            )
+            placement, _ = self.preempt_until_placed(ctx, job, longer)
+            if placement is not None:
+                ctx.start_job(job, placement)

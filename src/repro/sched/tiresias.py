@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from ..config import require_positive
 from ..workload.job import Job
-from .base import ScheduleContext, Scheduler, drain_order, eligible_victims
+from .base import ScheduleContext, Scheduler
 from .placement.base import PlacementPolicy
 
 
@@ -85,27 +85,14 @@ class TiresiasScheduler(Scheduler):
                 continue
             placement = self.try_place(ctx, job)
             if placement is None and self.queue_index(job, ctx.now) == 0:
-                placement = self._place_with_preemption(ctx, job)
+                demoted = (
+                    running
+                    for running in ctx.running.values()
+                    if self.queue_index_running(running, ctx.now) == 1
+                )
+                placement, _ = self.preempt_until_placed(ctx, job, demoted)
             if placement is not None:
                 ctx.start_job(job, placement)
-
-    def _place_with_preemption(self, ctx: ScheduleContext, job: Job):
-        """Evict demoted preemptible jobs until *job* fits (or give up)."""
-        candidates = [
-            running
-            for running in ctx.running.values()
-            if running.preemptible and self.queue_index_running(running, ctx.now) == 1
-        ]
-        victims = eligible_victims(ctx, job, candidates)
-        evictable_gpus = sum(v.num_gpus for v in victims)
-        if evictable_gpus + ctx.cluster.free_gpus < job.num_gpus:
-            return None
-        for victim in drain_order(victims):
-            ctx.preempt_job(victim)
-            placement = self.try_place(ctx, job)
-            if placement is not None:
-                return placement
-        return None
 
     def queue_index_running(self, job: Job, now: float) -> int:
         """Queue index for a *running* job (no starvation promotion)."""

@@ -15,6 +15,7 @@ so typos fail loudly rather than silently using defaults.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -271,12 +272,55 @@ _TOP_KEYS = {
     "runtime",
     "cluster",
 }
+_RESOURCE_NUMBERS: dict[str, type[int] | type[float]] = {
+    "num_gpus": int,
+    "gpus_per_node": int,
+    "cpus_per_gpu": int,
+    "memory_gb_per_gpu": float,
+    "walltime_hours": float,
+}
 
 
 def _check_keys(data: dict[str, Any], allowed: set[str], context: str) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise SchemaError(f"{context}: unknown keys {sorted(unknown)}")
+
+
+def _mapping(value: Any, context: str) -> dict[str, Any]:
+    """A section that must be a mapping; absent (null) reads as empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise SchemaError(f"{context} must be a mapping, got {type(value).__name__}")
+    return value
+
+
+def _number(value: Any, kind: type[int] | type[float], context: str) -> Any:
+    """Coerce a numeric field to a finite *kind* (``int`` or ``float``).
+
+    Numbers and numeric strings are accepted; bools, containers, nulls,
+    non-finite numbers and (for ``int``) fractions raise :class:`SchemaError`.
+    """
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        if kind is int and isinstance(value, int):
+            return value
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(number) and (kind is float or number.is_integer()):
+                return kind(number)
+    expected = "an integer" if kind is int else "a number"
+    raise SchemaError(f"{context} must be {expected}, got {value!r}")
+
+
+def _typed(value: Any, kind: type, context: str) -> Any:
+    """A field that must be a *kind* (``str``, ``bool``), or null when absent."""
+    if value is None or isinstance(value, kind):
+        return value
+    raise SchemaError(f"{context} must be a {kind.__name__}, got {value!r}")
 
 
 def _files_from(items: Any, context: str) -> tuple[FileSpec, ...]:
@@ -293,7 +337,7 @@ def _files_from(items: Any, context: str) -> tuple[FileSpec, ...]:
             files.append(
                 FileSpec(
                     path=str(item["path"]),
-                    size_bytes=int(item["size_bytes"]),
+                    size_bytes=_number(item["size_bytes"], int, f"{context}.size_bytes"),
                     sha256=str(item["sha256"]),
                 )
             )
@@ -311,7 +355,7 @@ def spec_from_dict(data: dict[str, Any]) -> TaskSpec:
         if required not in data or data[required] in (None, ""):
             raise SchemaError(f"task: missing required field {required!r}")
 
-    env_data = data.get("environment") or {}
+    env_data = _mapping(data.get("environment"), "environment")
     _check_keys(env_data, {"image", "python_version", "pip_packages", "env_vars"}, "environment")
     pip = env_data.get("pip_packages") or []
     if not isinstance(pip, list):
@@ -320,42 +364,30 @@ def spec_from_dict(data: dict[str, Any]) -> TaskSpec:
         image=str(env_data.get("image") or ""),
         python_version=str(env_data.get("python_version") or "3.10"),
         pip_packages=tuple(str(p) for p in pip),
-        env_vars={str(k): str(v) for k, v in (env_data.get("env_vars") or {}).items()},
-    )
-
-    res_data = data.get("resources") or {}
-    _check_keys(
-        res_data,
-        {
-            "num_gpus",
-            "gpus_per_node",
-            "gpu_type",
-            "cpus_per_gpu",
-            "memory_gb_per_gpu",
-            "walltime_hours",
-            "partition",
-            "rdma",
+        env_vars={
+            str(k): str(v)
+            for k, v in _mapping(env_data.get("env_vars"), "environment.env_vars").items()
         },
-        "resources",
-    )
-    resources = ResourceSpec(
-        num_gpus=int(res_data.get("num_gpus", 1)),
-        gpus_per_node=(
-            int(res_data["gpus_per_node"]) if res_data.get("gpus_per_node") is not None else None
-        ),
-        gpu_type=res_data.get("gpu_type"),
-        cpus_per_gpu=int(res_data.get("cpus_per_gpu", 4)),
-        memory_gb_per_gpu=float(res_data.get("memory_gb_per_gpu", 32.0)),
-        walltime_hours=float(res_data.get("walltime_hours", 24.0)),
-        partition=res_data.get("partition"),
-        rdma=bool(res_data.get("rdma", False)),
     )
 
-    qos_data = data.get("qos") or {}
+    res_data = _mapping(data.get("resources"), "resources")
+    _check_keys(res_data, {*_RESOURCE_NUMBERS, "gpu_type", "partition", "rdma"}, "resources")
+    resources = ResourceSpec(
+        gpu_type=_typed(res_data.get("gpu_type"), str, "resources.gpu_type"),
+        partition=_typed(res_data.get("partition"), str, "resources.partition"),
+        rdma=bool(_typed(res_data.get("rdma"), bool, "resources.rdma")),
+        **{  # unset or null numbers keep ResourceSpec's defaults
+            key: _number(res_data[key], kind, f"resources.{key}")
+            for key, kind in _RESOURCE_NUMBERS.items()
+            if res_data.get(key) is not None
+        },
+    )
+
+    qos_data = _mapping(data.get("qos"), "qos")
     _check_keys(qos_data, {"tier", "preemptible"}, "qos")
     qos = QosSpec(
         tier=str(qos_data.get("tier", "guaranteed")),
-        preemptible=qos_data.get("preemptible"),
+        preemptible=_typed(qos_data.get("preemptible"), bool, "qos.preemptible"),
     )
 
     return TaskSpec(
@@ -367,22 +399,24 @@ def spec_from_dict(data: dict[str, Any]) -> TaskSpec:
         resources=resources,
         qos=qos,
         model=str(data.get("model") or ""),
-        runtime=data.get("runtime"),
-        cluster=data.get("cluster"),
+        runtime=_typed(data.get("runtime"), str, "runtime"),
+        cluster=_typed(data.get("cluster"), str, "cluster"),
     )
+
+
+def _load_document(text: str, kind: str) -> Any:
+    """Load a *kind* description: JSON when it opens with ``{``, else the YAML subset."""
+    if text.lstrip().startswith("{"):
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"invalid JSON {kind} description: {exc}") from exc
+    return parse_yaml_subset(text)
 
 
 def parse_task_text(text: str) -> TaskSpec:
     """Parse a task description from JSON or the YAML subset."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON task description: {exc}") from exc
-    else:
-        data = parse_yaml_subset(text)
-    return spec_from_dict(data)
+    return spec_from_dict(_load_document(text, "task"))
 
 
 def parse_task_file(path: str | Path) -> TaskSpec:
@@ -452,7 +486,7 @@ def workflow_from_dict(data: dict[str, Any]) -> WorkflowSpec:
                 ArtifactSpec(
                     name=str(item["name"]),
                     producer=str(item["producer"]),
-                    size_bytes=int(item["size_bytes"]),
+                    size_bytes=_number(item["size_bytes"], int, "artifact.size_bytes"),
                 )
             )
         except KeyError as exc:
@@ -467,15 +501,7 @@ def workflow_from_dict(data: dict[str, Any]) -> WorkflowSpec:
 
 def parse_workflow_text(text: str) -> WorkflowSpec:
     """Parse a workflow description from JSON or the YAML subset."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON workflow description: {exc}") from exc
-    else:
-        data = parse_yaml_subset(text)
-    return workflow_from_dict(data)
+    return workflow_from_dict(_load_document(text, "workflow"))
 
 
 def parse_workflow_file(path: str | Path) -> WorkflowSpec:

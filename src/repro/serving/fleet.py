@@ -74,7 +74,6 @@ class ServingFleet:
             self.curves[spec.service_id] = synthesize_rate_curve(
                 load, days, seed=rng, name=spec.service_id
             )
-        self.replica_launches = 0
         self._sim: "ClusterSimulator | None" = None
 
     # -- wiring ----------------------------------------------------------------
@@ -157,7 +156,6 @@ class ServingFleet:
             )
             job = service.next_replica_job(role, now, self.horizon_s)
             simulator.submit_job(job)
-            self.replica_launches += 1
         service.scale_up_events += 1
 
     def _on_scale_down(self, now: float, event: ServiceScaleDown) -> None:

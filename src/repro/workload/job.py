@@ -427,19 +427,17 @@ class Job:
         self.current_nodes = ()
         self.current_gpus = 0
 
-    def requeue(self, now: float, work_lost: bool = True) -> None:
+    def requeue(self, now: float) -> None:
         """RUNNING → RESTARTING (queued) after an external kill (e.g. node failure).
 
-        Unlike :meth:`preempt` there is no graceful checkpoint: when
-        ``work_lost`` the whole current attempt's progress is discarded.
+        Unlike :meth:`preempt` there is no graceful checkpoint: the whole
+        current attempt's progress is discarded, though its GPU time counts
+        as spent.
         """
         self._require_state(self.lifecycle is LifecycleState.RUNNING, "requeue", "running")
-        if work_lost:
-            assert self.last_start_time is not None
-            elapsed = max(0.0, now - self.last_start_time)
-            self.gpu_seconds_used += elapsed * (self.current_gpus or self.num_gpus)
-        else:
-            self._accrue(now)
+        assert self.last_start_time is not None
+        elapsed = max(0.0, now - self.last_start_time)
+        self.gpu_seconds_used += elapsed * (self.current_gpus or self.num_gpus)
         self.lifecycle = LifecycleState.RESTARTING
         self.current_nodes = ()
         self.current_gpus = 0

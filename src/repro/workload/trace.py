@@ -203,7 +203,7 @@ class Trace:
             for line_number, row in enumerate(reader, start=2):
                 try:
                     jobs.append(_job_from_row(row))
-                except (ValueError, KeyError) as exc:
+                except (ValueError, KeyError, OverflowError) as exc:
                     raise TraceError(f"{path}:{line_number}: bad trace row: {exc}") from exc
         return cls(jobs, name=name or path.stem)
 
@@ -229,13 +229,20 @@ class Trace:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise TraceError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise TraceError(
+                        f"{path}:{line_number}: expected a JSON object, "
+                        f"got {type(record).__name__}"
+                    )
                 if line_number == 1 and "trace" in record:
                     name = str(record["trace"])
-                    metadata = dict(record.get("metadata", {}))
+                    metadata = record.get("metadata") or {}
+                    if not isinstance(metadata, dict):
+                        raise TraceError(f"{path}:1: trace metadata must be a JSON object")
                     continue
                 try:
                     jobs.append(_job_from_row(record))
-                except (ValueError, KeyError) as exc:
+                except (ValueError, KeyError, OverflowError) as exc:
                     raise TraceError(f"{path}:{line_number}: bad trace record: {exc}") from exc
         return cls(jobs, name=name, metadata=metadata)
 

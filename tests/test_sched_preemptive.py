@@ -299,3 +299,56 @@ class TestVictimEligibility:
         )
         scheduler.schedule(ctx)
         assert preempted == []  # the RTX victim frees nothing usable
+
+    @pytest.mark.parametrize("policy", ["tiered-quota", "srtf", "tiresias"])
+    def test_partitioned_job_evicts_only_inside_its_partition(self, policy):
+        """An entitled job pinned to partition ``pa`` frees ``pa`` capacity.
+
+        Two free-tier runs fill the two nodes, one per partition; the later
+        one (first in drain order) sits in ``pb``, whose node the waiting
+        job cannot use.  Every preemptive policy must evict only the
+        ``pa`` run: one preemption, not two.
+        """
+        from repro.cluster import PartitionSpec
+        from repro.sched import SrtfScheduler
+
+        cluster = uniform_cluster(2, gpus_per_node=8)
+        cluster.partitions.add(PartitionSpec("pa", ("v100-000",)))
+        cluster.partitions.add(PartitionSpec("pb", ("v100-001",)))
+        scheduler = {
+            "tiered-quota": lambda: TieredQuotaScheduler(QuotaConfig(quotas={"lab-00": 8})),
+            "srtf": SrtfScheduler,
+            "tiresias": lambda: TiresiasScheduler(queue_threshold_gpu_s=100.0, tick_s=60.0),
+        }[policy]()
+        jobs = [
+            make_job(
+                f"free-{part}",
+                num_gpus=8,
+                duration=5_000.0,
+                submit_time=float(i),
+                lab="lab-01",
+                tier=JobTier.OPPORTUNISTIC,
+                partition=part,
+            )
+            for i, part in enumerate(("pa", "pb"))
+        ]
+        jobs.append(
+            make_job(
+                "entitled",
+                num_gpus=8,
+                duration=100.0,
+                submit_time=600.0,
+                tier=JobTier.GUARANTEED,
+                partition="pa",
+            )
+        )
+        simulator = ClusterSimulator(
+            cluster,
+            scheduler,
+            Trace(jobs),
+            config=SimConfig(sample_interval_s=0.0, audit=True, checkpoint_loss_s=0.0),
+        )
+        result = simulator.run()
+        assert result.metrics.preemptions == 1
+        assert [job.preemptions for job in jobs] == [1, 0, 0]
+        assert all(job.lifecycle is LifecycleState.FINISHED for job in jobs)

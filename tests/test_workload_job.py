@@ -124,7 +124,7 @@ class TestLifecycle:
     def test_requeue_discards_attempt_work(self):
         job = make_job(duration=100.0)
         job.start(0.0, ("n1",))
-        job.requeue(30.0, work_lost=True)
+        job.requeue(30.0)
         assert job.remaining_work == pytest.approx(100.0)
         assert job.gpu_seconds_used == pytest.approx(30.0)  # wasted but spent
         assert job.preemptions == 0  # requeue is not a preemption

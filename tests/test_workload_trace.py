@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import json
+
 import pytest
 
 from repro.errors import ConfigError, TraceError
@@ -134,6 +137,25 @@ class TestSerialisation:
         path.write_text("\n".join(content) + "\n")
         with pytest.raises(TraceError, match=":2:"):
             Trace.from_csv(path)
+
+    def test_infinite_gpu_count_is_a_trace_error(self, tmp_path):
+        trace = small_trace()
+        csv_path, jsonl_path = tmp_path / "trace.csv", tmp_path / "trace.jsonl"
+        trace.to_csv(csv_path)
+        trace.to_jsonl(jsonl_path)
+        with csv_path.open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        rows[0]["num_gpus"] = "inf"
+        with csv_path.open("w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        lines = jsonl_path.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "num_gpus": "inf"})
+        jsonl_path.write_text("\n".join(lines) + "\n")
+        for path, read in ((csv_path, Trace.from_csv), (jsonl_path, Trace.from_jsonl)):
+            with pytest.raises(TraceError, match=":2: bad trace"):
+                read(path)
 
     def test_jsonl_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
