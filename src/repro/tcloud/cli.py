@@ -322,7 +322,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
+        # OSError: an input file (task, workflow or --config) that cannot be read.
         sys.stderr.write(f"tcloud: error: {exc}\n")
         return 2
 

@@ -1,9 +1,9 @@
 """Vectorized fleet-scale trace synthesis: ~1M jobs in seconds.
 
 The scalar :class:`~repro.workload.synth.TraceSynthesizer` draws every job
-field one ``rng`` call at a time — perfect for campus-sized traces and
-pinned by golden tests, but a million-job month would take minutes of pure
-RNG overhead.  :class:`FleetTraceSynthesizer` generates the same *kind* of
+field one ``rng`` call at a time on tables that keep numpy's stream — right
+for campus-sized traces and pinned by golden tests, but about 3× slower per
+job than whole-column draws.  :class:`FleetTraceSynthesizer` generates the same *kind* of
 workload (same :class:`~repro.workload.synth.SyntheticTraceConfig`
 parameterisation: NHPP diurnal arrivals, power-of-two demand, log-normal
 durations, two tiers, scripted failures) array-at-a-time:

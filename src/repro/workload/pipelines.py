@@ -29,6 +29,7 @@ import numpy as np
 from ..config import require_fraction, require_positive
 from ..errors import ConfigError
 from .job import Job, JobTier, ResourceRequest
+from .synth import Categorical, DurationModel
 from .trace import Trace
 
 #: Template name → builder of ``[(stage_name, [upstream indices]), ...]``.
@@ -171,35 +172,26 @@ class PipelineSynthesizer:
             if isinstance(seed, np.random.Generator)
             else np.random.default_rng(seed)
         )
+        self._templates = Categorical(config.template_mix)
+        self._stage_gpus = Categorical(config.stage_gpu_pmf)
+        self._stage_duration = DurationModel(  # one demand class: every stage alike
+            {1: config.stage_median_minutes}, config.stage_sigma,
+            config.min_stage_seconds, config.max_stage_seconds,
+        )
+        self._log_artifact_gb = np.log(config.artifact_gb_median)
 
     def _sample_arrivals(self) -> np.ndarray:
         horizon = self.config.days * 86400.0
         count = int(self.rng.poisson(self.config.workflows_per_day * self.config.days))
         return np.sort(self.rng.uniform(0.0, horizon, size=count))
 
-    def _sample_duration(self) -> float:
-        cfg = self.config
-        value = float(
-            self.rng.lognormal(
-                mean=np.log(cfg.stage_median_minutes * 60.0), sigma=cfg.stage_sigma
-            )
-        )
-        return float(np.clip(value, cfg.min_stage_seconds, cfg.max_stage_seconds))
-
     def _sample_artifact_bytes(self) -> float:
-        cfg = self.config
-        gb = float(
-            self.rng.lognormal(
-                mean=np.log(cfg.artifact_gb_median), sigma=cfg.artifact_gb_sigma
-            )
-        )
+        gb = float(self.rng.lognormal(self._log_artifact_gb, self.config.artifact_gb_sigma))
         return gb * 1e9
 
     def _stage_request(self) -> ResourceRequest:
         cfg = self.config
-        demands = list(cfg.stage_gpu_pmf)
-        probs = list(cfg.stage_gpu_pmf.values())
-        num_gpus = int(self.rng.choice(demands, p=probs))
+        num_gpus = self._stage_gpus.draw(self.rng)
         return ResourceRequest(
             num_gpus=num_gpus,
             gpus_per_node=min(num_gpus, cfg.gpus_per_node_cap)
@@ -209,9 +201,7 @@ class PipelineSynthesizer:
 
     def _build_workflow(self, index: int, submit_time: float) -> list[Job]:
         cfg = self.config
-        template = str(
-            self.rng.choice(list(cfg.template_mix), p=list(cfg.template_mix.values()))
-        )
+        template = self._templates.draw(self.rng)
         if template == "chain":
             width = int(self.rng.integers(cfg.chain_length[0], cfg.chain_length[1] + 1))
         else:
@@ -221,7 +211,7 @@ class PipelineSynthesizer:
         lab_index = int(self.rng.integers(cfg.num_labs))
         tier = (
             JobTier.GUARANTEED
-            if self.rng.uniform() < cfg.guaranteed_fraction
+            if self.rng.random() < cfg.guaranteed_fraction
             else JobTier.OPPORTUNISTIC
         )
         has_dependents = {
@@ -236,7 +226,7 @@ class PipelineSynthesizer:
                     lab_id=f"lab-{lab_index:02d}",
                     request=self._stage_request(),
                     submit_time=float(submit_time),
-                    duration=self._sample_duration(),
+                    duration=self._stage_duration.sample(1, self.rng),
                     tier=tier,
                     workflow_id=workflow_id,
                     depends_on=tuple(

@@ -26,7 +26,10 @@ single :class:`numpy.random.Generator` so a seed fully determines a trace.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Generic, TypeVar
 
 import numpy as np
 
@@ -34,6 +37,8 @@ from ..config import require_fraction, require_positive
 from ..errors import ConfigError
 from .job import FailureCategory, FailurePlan, Job, JobTier, ResourceRequest
 from .trace import Trace
+
+_T = TypeVar("_T")
 
 #: Hour-of-day submission weights observed on campus: quiet overnight,
 #: morning and afternoon work peaks, and an evening bump from students.
@@ -51,7 +56,8 @@ class DurationModel:
 
     ``median_minutes`` maps a demand threshold to the class median: a job
     with ``n`` GPUs uses the entry with the largest key ``<= n``.  ``sigma``
-    is the log-space standard deviation (the tail weight).
+    is the log-space standard deviation (the tail weight).  :meth:`sample`
+    memoizes each demand's log-median and clips to ``[min_seconds, max_seconds]``.
     """
 
     median_minutes: dict[int, float] = field(
@@ -74,10 +80,16 @@ class DurationModel:
         keys = [k for k in self.median_minutes if k <= num_gpus]
         return self.median_minutes[max(keys)]
 
+    @cached_property
+    def _log_median_s(self) -> dict[int, float]:
+        return {}  # demand -> np.log(median_for(demand) * 60.0), filled by sample()
+
     def sample(self, num_gpus: int, rng: np.random.Generator) -> float:
-        median_s = self.median_for(num_gpus) * 60.0
-        value = float(rng.lognormal(mean=np.log(median_s), sigma=self.sigma))
-        return float(np.clip(value, self.min_seconds, self.max_seconds))
+        log_median = self._log_median_s.get(num_gpus)
+        if log_median is None:
+            log_median = self._log_median_s[num_gpus] = np.log(self.median_for(num_gpus) * 60.0)
+        value = float(rng.lognormal(log_median, self.sigma))
+        return float(min(max(value, self.min_seconds), self.max_seconds))
 
 
 @dataclass(frozen=True)
@@ -177,6 +189,42 @@ def hourly_rates(config: SyntheticTraceConfig) -> np.ndarray:
     return config.jobs_per_day / 24.0 * profile[hour_index % 24] * day_factor
 
 
+class Categorical(Generic[_T]):
+    """``rng.choice(values, p=probs)`` on the same stream, without per-draw overhead.
+
+    numpy draws one ``rng.random()`` and takes ``searchsorted(side="right")``
+    in ``cumsum(p) / cumsum(p)[-1]``; this builds that table once and bisects it.
+    """
+
+    def __init__(self, pmf: dict[_T, float]) -> None:
+        self.values = tuple(pmf)
+        cumsum = np.asarray(list(pmf.values()), dtype=float).cumsum()
+        self.cdf = (cumsum / cumsum[-1]).tolist()
+
+    def draw(self, rng: np.random.Generator) -> _T:
+        return self.values[bisect_right(self.cdf, rng.random())]
+
+
+#: Equally likely per-job options; ``rng.choice`` of a 4-value list is
+#: ``values[rng.integers(4)]`` on the same stream.
+_INTERACTIVE_GPUS = (1, 1, 1, 2)
+_CPUS_PER_GPU = (2, 4, 4, 8)
+_MEMORY_GB_PER_GPU = (16.0, 32.0, 32.0, 64.0)
+_INTERACTIVE_LOG_MEDIAN_S = np.log(12 * 60.0)  # sessions: ~12 min, clipped to [1 min, max]
+
+
+def _draw_shape(
+    rng: np.random.Generator, cfg: SyntheticTraceConfig, demand: Categorical[int]
+) -> tuple[bool, int, float]:
+    """One job's ``(interactive, num_gpus, duration)``, shared by generation and calibration."""
+    if rng.random() < cfg.interactive_fraction:
+        num_gpus = _INTERACTIVE_GPUS[rng.integers(4)]
+        duration = float(rng.lognormal(_INTERACTIVE_LOG_MEDIAN_S, 0.9))
+        return True, num_gpus, float(min(max(duration, 60.0), cfg.interactive_max_minutes * 60.0))
+    num_gpus = demand.draw(rng)
+    return False, num_gpus, cfg.duration.sample(num_gpus, rng)
+
+
 @dataclass(frozen=True)
 class _UserPool:
     users: tuple[str, ...]
@@ -230,85 +278,49 @@ class TraceSynthesizer:
 
     # -- per-job fields ------------------------------------------------------
 
-    def _sample_demand(self) -> int:
-        demands = list(self.config.gpu_demand_pmf)
-        probs = list(self.config.gpu_demand_pmf.values())
-        return int(self.rng.choice(demands, p=probs))
-
-    def _sample_gpu_type(self) -> str | None:
-        types = list(self.config.gpu_type_preferences)
-        probs = list(self.config.gpu_type_preferences.values())
-        choice = str(self.rng.choice(types, p=probs))
-        return choice or None
-
-    def _sample_walltime_estimate(self, duration: float) -> float:
-        factor = float(
-            self.rng.lognormal(
-                mean=np.log(self.config.walltime_overestimate_mean),
-                sigma=self.config.walltime_overestimate_sigma,
-            )
-        )
-        return duration * max(1.0, factor)
-
     def _sample_failure_plan(self) -> FailurePlan | None:
         cfg = self.config
-        if self.rng.uniform() >= cfg.failure_fraction:
+        if self.rng.random() >= cfg.failure_fraction:
             return None
-        if self.rng.uniform() < cfg.failure_user_error_share:
+        if self.rng.random() < cfg.failure_user_error_share:
             # User errors (bad path, syntax, bad config) surface early.
             return FailurePlan(FailureCategory.USER_ERROR, float(self.rng.beta(1.2, 20.0)) or 0.01)
         # OOM and similar runtime failures strike anywhere mid-run.
-        return FailurePlan(FailureCategory.OOM, float(np.clip(self.rng.uniform(0.05, 0.95), 0.01, 1.0)))
+        return FailurePlan(FailureCategory.OOM, float(self.rng.uniform(0.05, 0.95)))
 
     def generate(self) -> Trace:
         cfg = self.config
+        rng = self.rng
+        demand, gpu_type = Categorical(cfg.gpu_demand_pmf), Categorical(cfg.gpu_type_preferences)
+        log_dataset_gb = np.log(cfg.dataset_gb_median)
+        log_walltime_factor = np.log(cfg.walltime_overestimate_mean)
         arrivals = self._sample_arrivals()
         jobs: list[Job] = []
-        user_indices = self.rng.choice(
-            len(self._pool.users), size=len(arrivals), p=self._pool.weights
-        )
+        user_indices = rng.choice(len(self._pool.users), size=len(arrivals), p=self._pool.weights)
         for index, (submit_time, user_index) in enumerate(zip(arrivals, user_indices)):
-            interactive = bool(self.rng.uniform() < cfg.interactive_fraction)
-            if interactive:
-                num_gpus = int(self.rng.choice([1, 1, 1, 2]))
-                duration = float(
-                    np.clip(
-                        self.rng.lognormal(np.log(12 * 60.0), 0.9),
-                        60.0,
-                        cfg.interactive_max_minutes * 60.0,
-                    )
-                )
-            else:
-                num_gpus = self._sample_demand()
-                duration = cfg.duration.sample(num_gpus, self.rng)
+            interactive, num_gpus, duration = _draw_shape(rng, cfg, demand)
             tier = (
                 JobTier.GUARANTEED
-                if self.rng.uniform() < cfg.guaranteed_fraction
+                if rng.random() < cfg.guaranteed_fraction
                 else JobTier.OPPORTUNISTIC
             )
-            elastic_min = None
-            preemptible = None
-            if (
-                not interactive
-                and num_gpus >= 4
-                and self.rng.uniform() < cfg.elastic_fraction
-            ):
+            elastic_min = preemptible = None
+            if not interactive and num_gpus >= 4 and rng.random() < cfg.elastic_fraction:
                 elastic_min = max(1, num_gpus // 4)
                 preemptible = True
             dataset_gb = 0.0
             if not interactive:
-                dataset_gb = float(
-                    self.rng.lognormal(np.log(cfg.dataset_gb_median), cfg.dataset_gb_sigma)
-                )
+                dataset_gb = float(rng.lognormal(log_dataset_gb, cfg.dataset_gb_sigma))
             request = ResourceRequest(
                 num_gpus=num_gpus,
                 gpus_per_node=min(num_gpus, cfg.gpus_per_node_cap)
                 if num_gpus > cfg.gpus_per_node_cap
                 else None,
-                gpu_type=self._sample_gpu_type(),
-                cpus_per_gpu=int(self.rng.choice([2, 4, 4, 8])),
-                memory_gb_per_gpu=float(self.rng.choice([16.0, 32.0, 32.0, 64.0])),
+                gpu_type=gpu_type.draw(rng) or None,
+                cpus_per_gpu=_CPUS_PER_GPU[rng.integers(4)],
+                memory_gb_per_gpu=_MEMORY_GB_PER_GPU[rng.integers(4)],
             )
+            walltime_factor = rng.lognormal(log_walltime_factor, cfg.walltime_overestimate_sigma)
             jobs.append(
                 Job(
                     job_id=f"job-{index:06d}",
@@ -318,7 +330,7 @@ class TraceSynthesizer:
                     submit_time=float(submit_time),
                     duration=duration,
                     tier=tier,
-                    walltime_estimate=self._sample_walltime_estimate(duration),
+                    walltime_estimate=duration * max(1.0, float(walltime_factor)),
                     interactive=interactive,
                     preemptible=preemptible,
                     failure_plan=self._sample_failure_plan(),
@@ -336,26 +348,16 @@ def expected_gpu_seconds_per_job(
     """Monte-Carlo estimate of mean GPU-seconds demanded per job.
 
     Used by :func:`calibrate_jobs_per_day` to set offered load relative to
-    cluster capacity; the heavy-tailed duration model makes closed forms
-    unreliable once clipping kicks in, so we sample.
+    cluster capacity.  Each sample draws one job's shape exactly as
+    :meth:`TraceSynthesizer.generate` does, from ``default_rng(seed)``;
+    each sample costs microseconds.  The estimate is seed-dependent and
+    biased against the clipped-lognormal closed form (ROADMAP item 2).
     """
     rng = np.random.default_rng(seed)
-    demands = np.array(list(config.gpu_demand_pmf), dtype=int)
-    probs = np.array(list(config.gpu_demand_pmf.values()))
+    demand = Categorical(config.gpu_demand_pmf)
     total = 0.0
     for _ in range(samples):
-        if rng.uniform() < config.interactive_fraction:
-            gpus = int(rng.choice([1, 1, 1, 2]))
-            duration = float(
-                np.clip(
-                    rng.lognormal(np.log(12 * 60.0), 0.9),
-                    60.0,
-                    config.interactive_max_minutes * 60.0,
-                )
-            )
-        else:
-            gpus = int(rng.choice(demands, p=probs))
-            duration = config.duration.sample(gpus, rng)
+        _, gpus, duration = _draw_shape(rng, config, demand)
         total += gpus * duration
     return total / samples
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -281,36 +282,42 @@ def _job_from_row(row: dict[str, object]) -> Job:
         value = row.get(key, "")
         return "" if value is None else str(value)
 
+    def number(key: str, default: str = "") -> float:
+        value = float(text(key) or default)
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be a finite number, got {value}")
+        return value
+
     plan = None
     if text("failure_category"):
         plan = FailurePlan(
             category=FailureCategory(text("failure_category")),
-            at_fraction=float(text("failure_at_fraction")),
+            at_fraction=number("failure_at_fraction"),
         )
     gpus_per_node = text("gpus_per_node")
     return Job(
         job_id=text("job_id"),
         user_id=text("user_id"),
         lab_id=text("lab_id"),
-        submit_time=float(text("submit_time")),
-        duration=float(text("duration")),
+        submit_time=number("submit_time"),
+        duration=number("duration"),
         request=ResourceRequest(
             num_gpus=int(float(text("num_gpus"))),
             gpus_per_node=int(float(gpus_per_node)) if gpus_per_node else None,
             gpu_type=text("gpu_type") or None,
             cpus_per_gpu=int(float(text("cpus_per_gpu") or 4)),
-            memory_gb_per_gpu=float(text("memory_gb_per_gpu") or 32.0),
+            memory_gb_per_gpu=number("memory_gb_per_gpu", "32.0"),
         ),
         tier=JobTier(text("tier") or "guaranteed"),
         partition=text("partition") or None,
-        walltime_estimate=float(text("walltime_estimate")) if text("walltime_estimate") else None,
+        walltime_estimate=number("walltime_estimate") if text("walltime_estimate") else None,
         interactive=bool(int(float(text("interactive") or 0))),
         failure_plan=plan,
         elastic_min_gpus=int(float(text("elastic_min"))) if text("elastic_min") else None,
-        dataset_gb=float(text("dataset_gb") or 0.0),
+        dataset_gb=number("dataset_gb", "0.0"),
         model_name=text("model"),
         name=text("name"),
         workflow_id=text("workflow") or None,
         depends_on=tuple(d for d in text("depends_on").split(";") if d),
-        artifact_bytes=float(text("artifact_bytes") or 0.0),
+        artifact_bytes=number("artifact_bytes", "0.0"),
     )

@@ -1,7 +1,8 @@
 """Malformed inputs fail at the boundary with a ``repro.errors`` type.
 
 Hypothesis takes a valid task, workflow and JSONL trace document, replaces
-one field with an arbitrary JSON value, and requires the reader to either
+one field with an arbitrary JSON value (one CSV trace cell with an arbitrary
+string), and requires the reader to either
 accept the result or raise :class:`~repro.errors.ReproError` — never a raw
 ``TypeError``/``ValueError``/``AttributeError`` from deep inside.  Task and
 workflow documents are fed both as JSON and through ``dump_yaml_subset``.
@@ -10,7 +11,9 @@ The explicit cases below pin each input the schema once let escape.
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -139,12 +142,29 @@ def trace_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "fuzz.jsonl"
 
 
+def _reads_finite_or_raises_repro_error(read, path):
+    """*read* rejects *path* with a ``ReproError`` or loads only finite numbers."""
+    try:
+        trace = read(path)
+    except ReproError:
+        return
+    for job in trace:
+        plan = job.failure_plan
+        numbers = (
+            job.submit_time,
+            job.duration,
+            job.request.memory_gb_per_gpu,
+            job.walltime_estimate or 0.0,
+            plan.at_fraction if plan else 0.0,
+            job.dataset_gb,
+            job.artifact_bytes,
+        )
+        assert all(math.isfinite(number) for number in numbers), job
+
+
 def _read_trace(path, lines):
     path.write_text("\n".join(lines) + "\n")
-    try:
-        Trace.from_jsonl(path)
-    except ReproError:
-        pass
+    _reads_finite_or_raises_repro_error(Trace.from_jsonl, path)
 
 
 @FUZZ
@@ -160,6 +180,34 @@ def test_jsonl_field_fuzz(trace_lines, trace_file, line, data, value):
 def test_jsonl_arbitrary_line(trace_lines, trace_file, value):
     header, row = trace_lines
     _read_trace(trace_file, [json.dumps(header), json.dumps(value), json.dumps(row)])
+
+
+@pytest.fixture(scope="module")
+def csv_row(tmp_path_factory):
+    """One job row of a valid CSV trace, as the reader sees it."""
+    path = tmp_path_factory.mktemp("trace") / "valid.csv"
+    job = make_job("job-1", num_gpus=2, tier=JobTier.OPPORTUNISTIC, gpus_per_node=2)
+    Trace([job], name="valid").to_csv(path)
+    with path.open(newline="") as handle:
+        return next(csv.DictReader(handle))
+
+
+csv_cells = st.text(max_size=12) | json_values.map(json.dumps) | st.sampled_from(
+    ["", "-inf", "NaN", "1e-400", "-1", "0", "oom", "user_error"]
+)
+
+
+@FUZZ
+@given(data=st.data(), value=csv_cells)
+def test_csv_field_fuzz(csv_row, trace_file, data, value):
+    row = dict(csv_row)
+    row[data.draw(st.sampled_from(sorted(row)))] = value
+    path = trace_file.with_suffix(".csv")
+    with path.open("w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(row))
+        writer.writeheader()
+        writer.writerow(row)
+    _reads_finite_or_raises_repro_error(Trace.from_csv, path)
 
 
 @pytest.mark.parametrize(

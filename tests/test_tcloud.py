@@ -265,5 +265,8 @@ class TestCli:
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "ghost.yaml")
-        with pytest.raises(FileNotFoundError):
-            tcloud_main(["validate", missing])
+        assert tcloud_main(["validate", missing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tcloud: error:")
+        assert "ghost.yaml" in err
+        assert "Traceback" not in err

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,8 @@ from repro.workload import (
     tacc_campus,
     with_load,
 )
+from repro.workload.pipelines import pipeline_trace
+from repro.workload.synth import Categorical
 
 
 class TestDurationModel:
@@ -195,3 +200,133 @@ class TestLoadCalibration:
     def test_invalid_targets(self):
         with pytest.raises(ConfigError):
             calibrate_jobs_per_day(tacc_campus(), 176, 0.0)
+
+
+def _untemper(word: int) -> int:
+    """The MT19937 state word that the generator's tempering maps to *word*."""
+    word ^= word >> 18
+    word ^= (word << 15) & 0xEFC60000
+    shifted = word
+    for _ in range(5):
+        shifted = word ^ ((shifted << 7) & 0x9D2C5680)
+    word = shifted
+    for _ in range(3):
+        shifted = word ^ (shifted >> 11)
+    return shifted
+
+
+def _generator_yielding(*uniforms: float) -> np.random.Generator:
+    """An MT19937 generator whose next ``random()`` calls return *uniforms*.
+
+    ``random()`` builds a double from two 32-bit outputs (27 and 26 high
+    bits), so only multiples of 2**-53 in [0, 1) can be scripted.
+    """
+    words = []
+    for uniform in uniforms:
+        units = int(uniform * 2**53)
+        assert units / 2**53 == uniform, uniform
+        words += [(units >> 26) << 5, (units & (2**26 - 1)) << 6]
+    key = np.zeros(624, dtype=np.uint32)
+    key[: len(words)] = [_untemper(word) for word in words]
+    bits = np.random.MT19937()
+    bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
+    return np.random.Generator(bits)
+
+
+#: ``cumsum`` of ten 0.1s ends at 0.9999999999999999, so numpy's
+#: normalisation moves every boundary; the rest are the presets' own pmfs.
+STREAM_PMFS = [
+    dict(enumerate([0.1] * 10)),
+    {1: 0.25, 2: 0.0, 4: 0.25, 8: 0.5},
+    tacc_campus().gpu_demand_pmf,
+    philly_like().gpu_demand_pmf,
+    helios_like().gpu_demand_pmf,
+    tacc_campus().gpu_type_preferences,
+]
+STREAM_SEEDS = [0, 1, 7, 12345]
+STREAM_DRAWS = 10_000
+
+
+class TestStreamContract:
+    """numpy equivalences the scalar synthesizer relies on to keep its stream.
+
+    The synthesizer draws through cheap primitives that consume the same
+    bits in the same order as the numpy calls they replace.  A numpy
+    release that breaks one of these fails here by name, not as drift in
+    every golden.
+    """
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_uniform_is_random(self, seed):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert all(a.uniform() == b.random() for _ in range(STREAM_DRAWS))
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("pmf", STREAM_PMFS)
+    def test_choice_with_p_is_random_then_bisect_right(self, pmf, seed):
+        values, table = list(pmf), Categorical(pmf)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(STREAM_DRAWS):
+            assert values[a.choice(len(values), p=list(pmf.values()))] == table.draw(b)
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("pmf", STREAM_PMFS)
+    def test_choice_with_p_agrees_on_every_cdf_boundary(self, pmf):
+        table = Categorical(pmf)
+        raw = np.cumsum(list(pmf.values()))
+        near = [np.nextafter(x, 0.0) for x in raw] + [np.nextafter(x, 1.0) for x in raw]
+        edges = {0.0, 1.0 - 2**-53, *raw, *table.cdf, *near}
+        uniforms = sorted(u for u in map(float, edges) if 0 <= u < 1 and u * 2**53 % 1 == 0)
+        scripted = _generator_yielding(*uniforms)
+        assert [scripted.random() for _ in uniforms] == uniforms
+        ours = _generator_yielding(*uniforms)
+        theirs = _generator_yielding(*uniforms)
+        values = list(pmf)
+        for _ in uniforms:
+            assert values[theirs.choice(len(values), p=list(pmf.values()))] == table.draw(ours)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_choice_of_four_is_integers_four(self, seed):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        options = (2, 4, 4, 8)
+        assert all(
+            a.choice(list(options)) == options[b.integers(4)] for _ in range(STREAM_DRAWS)
+        )
+
+    #: ``expected_gpu_seconds_per_job(preset(), seed=seed)`` from the
+    #: per-draw numpy implementation; the table-driven one must match to the bit.
+    CALIBRATIONS = {
+        ("tacc", 0): 101206.56449632173,
+        ("tacc", 777): 98545.89160720224,
+        ("tacc", 12345): 98182.01157102529,
+        ("philly", 0): 165711.23815479391,
+        ("philly", 777): 132459.30937143866,
+        ("philly", 12345): 135386.06579015058,
+        ("helios", 0): 58805.31646340092,
+        ("helios", 777): 66854.51430327377,
+        ("helios", 12345): 67868.6946875268,
+    }
+
+    @pytest.mark.parametrize("preset, seed", sorted(CALIBRATIONS))
+    def test_calibration_values_unchanged(self, preset, seed):
+        factory = {"tacc": tacc_campus, "philly": philly_like, "helios": helios_like}[preset]
+        value = expected_gpu_seconds_per_job(factory(), seed=seed)
+        assert value == self.CALIBRATIONS[preset, seed]
+
+    #: sha256 of the canonical JSON of ``frozen_rows()`` for 2-day seed-0
+    #: traces, recorded from the per-draw numpy implementation.
+    TRACE_DIGESTS = {
+        "tacc-campus": "cfb3c8fb9c418fa021ff7f4743875a91a601e76bcafd9f2c73ae979b27d0e25a",
+        "philly-like": "13d6be89b77a8d2793e0286762764d31137f4521f4b93136f886cf9663a7d230",
+        "helios-like": "b6f16983735bdbc016a0be02ee71b59b3837f074383fb6e65bb9790a25eec78b",
+        "pipelines": "e5344a98e9e5a6d74fd72d8cb2da71cd12da90008a3051457e077ee3f682b552",
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+    def test_trace_rows_unchanged(self, name):
+        if name == "pipelines":
+            trace = pipeline_trace(days=2, workflows_per_day=40, seed=0)
+        else:
+            trace = synthesize(name, days=2, seed=0)
+        rows = json.dumps(list(trace.frozen_rows()), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(rows.encode()).hexdigest() == self.TRACE_DIGESTS[name]

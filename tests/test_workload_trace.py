@@ -44,6 +44,37 @@ def small_trace():
     return Trace(jobs, name="small")
 
 
+#: Every float column of the trace formats; each must be a finite number.
+FLOAT_COLUMNS = [
+    "submit_time",
+    "duration",
+    "memory_gb_per_gpu",
+    "walltime_estimate",
+    "failure_at_fraction",
+    "dataset_gb",
+    "artifact_bytes",
+]
+
+
+def _both_formats_with(tmp_path, **changes):
+    """``small_trace`` as CSV and JSONL, its first row's *changes* applied."""
+    trace = small_trace()
+    csv_path, jsonl_path = tmp_path / "trace.csv", tmp_path / "trace.jsonl"
+    trace.to_csv(csv_path)
+    trace.to_jsonl(jsonl_path)
+    with csv_path.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    rows[0].update(changes)
+    with csv_path.open("w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    lines = jsonl_path.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), **changes})
+    jsonl_path.write_text("\n".join(lines) + "\n")
+    return [(csv_path, Trace.from_csv), (jsonl_path, Trace.from_jsonl)]
+
+
 class TestTraceBasics:
     def test_sorted_by_submit_time(self):
         trace = small_trace()
@@ -139,22 +170,18 @@ class TestSerialisation:
             Trace.from_csv(path)
 
     def test_infinite_gpu_count_is_a_trace_error(self, tmp_path):
-        trace = small_trace()
-        csv_path, jsonl_path = tmp_path / "trace.csv", tmp_path / "trace.jsonl"
-        trace.to_csv(csv_path)
-        trace.to_jsonl(jsonl_path)
-        with csv_path.open(newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        rows[0]["num_gpus"] = "inf"
-        with csv_path.open("w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        lines = jsonl_path.read_text().splitlines()
-        lines[1] = json.dumps({**json.loads(lines[1]), "num_gpus": "inf"})
-        jsonl_path.write_text("\n".join(lines) + "\n")
-        for path, read in ((csv_path, Trace.from_csv), (jsonl_path, Trace.from_jsonl)):
+        for path, read in _both_formats_with(tmp_path, num_gpus="inf"):
             with pytest.raises(TraceError, match=":2: bad trace"):
+                read(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", FLOAT_COLUMNS)
+    def test_non_finite_number_is_a_trace_error(self, tmp_path, column, value):
+        changes = {column: value}
+        if column == "failure_at_fraction":
+            changes["failure_category"] = FailureCategory.OOM.value
+        for path, read in _both_formats_with(tmp_path, **changes):
+            with pytest.raises(TraceError, match=f":2: bad trace .*{column}"):
                 read(path)
 
     def test_jsonl_invalid_json_reports_line(self, tmp_path):
