@@ -23,12 +23,14 @@ variations between trace dumps parse without editing.
 from __future__ import annotations
 
 import csv
+import math
 from datetime import datetime
 from pathlib import Path
+from typing import Callable
 
 from ..errors import TraceError
 from .job import FailureCategory, FailurePlan, Job, JobTier, ResourceRequest
-from .trace import Trace
+from .trace import Trace, finite_number
 
 #: Column aliases, canonical name → accepted headers (lowercase).
 _ALIASES = {
@@ -60,18 +62,15 @@ _STATUS_MAP = {
 }
 
 
-def _parse_timestamp(text: str) -> float:
-    text = text.strip()
-    if not text:
-        raise ValueError("empty timestamp")
+def _parse_timestamp(column: str, text: str) -> float:
     try:
-        return float(text)
+        float(text)
     except ValueError:
-        pass
-    try:
-        return datetime.fromisoformat(text).timestamp()
-    except ValueError as exc:
-        raise ValueError(f"unparseable timestamp {text!r}") from exc
+        try:
+            return datetime.fromisoformat(text).timestamp()
+        except ValueError as exc:
+            raise ValueError(f"{column}: unparseable timestamp {text!r}") from exc
+    return finite_number(column, text)
 
 
 def _resolve_columns(fieldnames: list[str], required: tuple[str, ...]) -> dict[str, str]:
@@ -91,12 +90,10 @@ def _resolve_columns(fieldnames: list[str], required: tuple[str, ...]) -> dict[s
     return resolved
 
 
-def _row_value(row: dict, columns: dict[str, str], canonical: str, default: str = "") -> str:
+def _row_value(row: dict[str, str | None], columns: dict[str, str], canonical: str) -> str:
     column = columns.get(canonical)
-    if column is None:
-        return default
-    value = row.get(column)
-    return default if value is None else str(value).strip()
+    value = None if column is None else row.get(column)
+    return "" if value is None else value.strip()
 
 
 def load_public_trace(
@@ -153,37 +150,39 @@ def _rebase(job: Job, origin: float) -> Job:
 
 
 def _job_from_public_row(
-    row: dict, columns: dict[str, str], default_gpus_per_node: int
+    row: dict[str, str | None], columns: dict[str, str], default_gpus_per_node: int
 ) -> Job | None:
-    gpus = int(float(_row_value(row, columns, "gpus") or 0))
+    def text(canonical: str) -> str:
+        return _row_value(row, columns, canonical)
+
+    def number(canonical: str, parse: Callable[[str, str], float] = finite_number) -> float:
+        return parse(columns[canonical], text(canonical))
+
+    gpus = int(number("gpus")) if text("gpus") else 0
     if gpus <= 0:
         return None  # CPU-only job; outside this cluster model's scope
-    submit = _parse_timestamp(_row_value(row, columns, "submit_time"))
-
-    duration_text = _row_value(row, columns, "duration")
-    if duration_text:
-        duration = float(duration_text)
+    submit = number("submit_time", _parse_timestamp)
+    if text("duration"):
+        duration = number("duration")
+    elif text("start_time") and text("end_time"):
+        duration = number("end_time", _parse_timestamp) - number("start_time", _parse_timestamp)
+        if not math.isfinite(duration):
+            raise ValueError(f"end_time - start_time must be a finite number, got {duration}")
     else:
-        start_text = _row_value(row, columns, "start_time")
-        end_text = _row_value(row, columns, "end_time")
-        if not start_text or not end_text:
-            return None
-        duration = _parse_timestamp(end_text) - _parse_timestamp(start_text)
+        return None
     if duration <= 0:
         return None
 
-    status_raw = _row_value(row, columns, "status", "completed").lower()
-    status = _STATUS_MAP.get(status_raw, "completed")
+    status = _STATUS_MAP.get(text("status").lower(), "completed")
     failure_plan = None
     if status == "failed":
         # The observed runtime ends in failure: replay reproduces exactly
         # the resources the failed run consumed.
         failure_plan = FailurePlan(FailureCategory.USER_ERROR, at_fraction=1.0)
 
-    user = _row_value(row, columns, "user", "unknown-user") or "unknown-user"
-    group = _row_value(row, columns, "group", "default") or "default"
-    cpus_text = _row_value(row, columns, "cpus")
-    cpus_per_gpu = max(1, int(float(cpus_text)) // gpus) if cpus_text else 4
+    user = text("user") or "unknown-user"
+    group = text("group") or "default"
+    cpus_per_gpu = max(1, int(number("cpus")) // gpus) if text("cpus") else 4
 
     gpus_per_node = None
     if gpus > default_gpus_per_node:
@@ -194,7 +193,7 @@ def _job_from_public_row(
         gpus_per_node = default_gpus_per_node
 
     return Job(
-        job_id=str(_row_value(row, columns, "job_id")),
+        job_id=text("job_id"),
         user_id=user,
         lab_id=f"lab-{group}",
         request=ResourceRequest(

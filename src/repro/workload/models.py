@@ -14,11 +14,13 @@ hardware; only their *ratios* matter to the experiments.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError
+from .job import Job
 from .trace import Trace
 
 
@@ -65,11 +67,16 @@ MODEL_CATALOG: dict[str, ModelProfile] = {
     ]
 }
 
-#: Default model mix by GPU demand class: small jobs are mostly small CNNs /
+#: GPU-demand classes, by ``bisect_left`` index: at most 2 GPUs, at most 8, wider.
+_DEMAND_BOUNDS = (2, 8)
+#: Default model mix per demand class: small jobs are mostly small CNNs /
 #: notebooks, wide jobs skew to large transformers.
-_DEFAULT_MIX_SMALL = ("resnet50", "pointnet", "bert-base", "vgg16")
-_DEFAULT_MIX_MEDIUM = ("resnet50", "bert-base", "bert-large", "vgg16", "dlrm")
-_DEFAULT_MIX_LARGE = ("bert-large", "gpt2-medium", "gpt2-xl", "dlrm")
+_DEFAULT_MIXES = (
+    ("resnet50", "pointnet", "bert-base", "vgg16"),
+    ("resnet50", "bert-base", "bert-large", "vgg16", "dlrm"),
+    ("bert-large", "gpt2-medium", "gpt2-xl", "dlrm"),
+)
+_DEFAULT_PROFILES = ("resnet50", "bert-base", "bert-large")
 
 
 def get_model_profile(name: str) -> ModelProfile:
@@ -83,35 +90,28 @@ def get_model_profile(name: str) -> ModelProfile:
 
 def default_profile_for(num_gpus: int) -> ModelProfile:
     """Deterministic fallback profile for jobs without an assigned model."""
-    if num_gpus <= 2:
-        return MODEL_CATALOG["resnet50"]
-    if num_gpus <= 8:
-        return MODEL_CATALOG["bert-base"]
-    return MODEL_CATALOG["bert-large"]
+    return MODEL_CATALOG[_DEFAULT_PROFILES[bisect_left(_DEMAND_BOUNDS, num_gpus)]]
 
 
 def assign_models(trace: Trace, seed: int | np.random.Generator = 0) -> Trace:
     """Assign a model name to every job in *trace* (in place; returns it).
 
     Jobs that already carry a ``model_name`` are left untouched so traces
-    loaded from disk replay identically.
+    loaded from disk replay identically.  The others pick, in trace order,
+    from one ``integers`` draw with per-job bounds, which consumes the stream
+    exactly as a per-job ``rng.choice(mix)`` does (same 32-bit Lemire step).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    for job in trace:
-        if job.model_name:
-            continue
-        if job.num_gpus <= 2:
-            mix = _DEFAULT_MIX_SMALL
-        elif job.num_gpus <= 8:
-            mix = _DEFAULT_MIX_MEDIUM
-        else:
-            mix = _DEFAULT_MIX_LARGE
-        job.model_name = str(rng.choice(mix))
+    jobs = [job for job in trace if not job.model_name]
+    mixes = [_DEFAULT_MIXES[bisect_left(_DEMAND_BOUNDS, job.num_gpus)] for job in jobs]
+    picks = rng.integers(0, [len(mix) for mix in mixes]).tolist()  # no jobs: no draw
+    for job, mix, pick in zip(jobs, mixes, picks):
+        job.model_name = mix[pick]
     return trace
 
 
-def profile_of(job) -> ModelProfile:
+def profile_of(job: Job) -> ModelProfile:
     """Resolve a job's model profile (catalogue entry or size-based default)."""
-    if getattr(job, "model_name", ""):
+    if job.model_name:
         return get_model_profile(job.model_name)
     return default_profile_for(job.num_gpus)

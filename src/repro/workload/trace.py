@@ -277,16 +277,21 @@ def _job_to_row(job: Job) -> dict[str, object]:
     }
 
 
+def finite_number(column: str, text: str) -> float:
+    """*text* as a float; ``ValueError`` naming *column* unless finite (all trace readers)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{column} must be a finite number, got {value}")
+    return value
+
+
 def _job_from_row(row: dict[str, object]) -> Job:
     def text(key: str) -> str:
         value = row.get(key, "")
         return "" if value is None else str(value)
 
     def number(key: str, default: str = "") -> float:
-        value = float(text(key) or default)
-        if not math.isfinite(value):
-            raise ValueError(f"{key} must be a finite number, got {value}")
-        return value
+        return finite_number(key, text(key) or default)
 
     plan = None
     if text("failure_category"):

@@ -1,8 +1,8 @@
 """Malformed inputs fail at the boundary with a ``repro.errors`` type.
 
 Hypothesis takes a valid task, workflow and JSONL trace document, replaces
-one field with an arbitrary JSON value (one CSV trace cell with an arbitrary
-string), and requires the reader to either
+one field with an arbitrary JSON value (one CSV trace or public-trace cell
+with an arbitrary string), and requires the reader to either
 accept the result or raise :class:`~repro.errors.ReproError` — never a raw
 ``TypeError``/``ValueError``/``AttributeError`` from deep inside.  Task and
 workflow documents are fed both as JSON and through ``dump_yaml_subset``.
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.errors import ReproError, SchemaError, TraceError
 from repro.schema import dump_yaml_subset, parse_task_text, parse_workflow_text
 from repro.tcloud.cli import main as tcloud_main
-from repro.workload import JobTier, Trace
+from repro.workload import JobTier, Trace, load_public_trace
 from tests.conftest import make_job
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
@@ -208,6 +208,73 @@ def test_csv_field_fuzz(csv_row, trace_file, data, value):
         writer.writeheader()
         writer.writerow(row)
     _reads_finite_or_raises_repro_error(Trace.from_csv, path)
+
+
+#: Two-row public traces: Philly-style with a duration column, Helios-style
+#: with start/end times and a CPU count, so every numeric column is read.
+PUBLIC_TRACES = {
+    "philly": [
+        {"jobid": "p1", "vc": "ml", "submitted_time": "2017-10-03 10:00:00",
+         "duration": "3600", "gpus": "4", "status": "Pass"},
+        {"jobid": "p2", "vc": "cv", "submitted_time": "2017-10-03 11:00:00",
+         "duration": "60", "gpus": "16", "status": "Failed"},
+    ],
+    "helios": [
+        {"job_id": "h1", "gpu_num": "8", "cpu_num": "64", "submit_time": "1000",
+         "start_time": "1100", "end_time": "5000", "state": "COMPLETED"},
+        {"job_id": "h2", "gpu_num": "2", "cpu_num": "16", "submit_time": "2000",
+         "start_time": "2100", "end_time": "2500", "state": "FAILED"},
+    ],
+}
+
+
+def _write_public_trace(path, rows):
+    with path.open("w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
+
+
+@FUZZ
+@given(data=st.data(), value=csv_cells)
+@pytest.mark.parametrize("style", sorted(PUBLIC_TRACES))
+def test_public_trace_field_fuzz(trace_file, style, data, value):
+    rows = [dict(row) for row in PUBLIC_TRACES[style]]
+    row = rows[data.draw(st.integers(0, 1))]
+    row[data.draw(st.sampled_from(sorted(row)))] = value
+    path = _write_public_trace(trace_file.with_name(f"{style}.csv"), rows)
+    _reads_finite_or_raises_repro_error(load_public_trace, path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "style, column",
+    [
+        ("philly", "submitted_time"),
+        ("philly", "duration"),
+        ("philly", "gpus"),
+        ("helios", "submit_time"),
+        ("helios", "gpu_num"),
+        ("helios", "cpu_num"),
+        ("helios", "start_time"),
+        ("helios", "end_time"),
+    ],
+)
+def test_public_trace_non_finite_number_is_a_trace_error(tmp_path, style, column, value):
+    rows = [dict(row) for row in PUBLIC_TRACES[style]]
+    rows[0][column] = value
+    path = _write_public_trace(tmp_path / f"{style}.csv", rows)
+    with pytest.raises(TraceError, match=f":2: {column} must be a finite number"):
+        load_public_trace(path)
+
+
+def test_public_trace_overflowing_runtime_is_a_trace_error(tmp_path):
+    rows = [dict(row) for row in PUBLIC_TRACES["helios"]]
+    rows[0].update(start_time="-1.7e308", end_time="1.7e308")
+    path = _write_public_trace(tmp_path / "helios.csv", rows)
+    with pytest.raises(TraceError, match=":2: end_time - start_time must be a finite number"):
+        load_public_trace(path)
 
 
 @pytest.mark.parametrize(

@@ -22,8 +22,12 @@ from repro.workload import (
     tacc_campus,
     with_load,
 )
+from repro.workload.fleet import fleet_trace
+from repro.workload.models import _DEFAULT_MIXES, assign_models
 from repro.workload.pipelines import pipeline_trace
 from repro.workload.synth import Categorical
+from repro.workload.trace import Trace
+from tests.conftest import make_job
 
 
 class TestDurationModel:
@@ -226,6 +230,11 @@ def _generator_yielding(*uniforms: float) -> np.random.Generator:
         units = int(uniform * 2**53)
         assert units / 2**53 == uniform, uniform
         words += [(units >> 26) << 5, (units & (2**26 - 1)) << 6]
+    return _generator_emitting(*words)
+
+
+def _generator_emitting(*words: int) -> np.random.Generator:
+    """An MT19937 generator whose next 32-bit outputs are *words*."""
     key = np.zeros(624, dtype=np.uint32)
     key[: len(words)] = [_untemper(word) for word in words]
     bits = np.random.MT19937()
@@ -247,13 +256,48 @@ STREAM_SEEDS = [0, 1, 7, 12345]
 STREAM_DRAWS = 10_000
 
 
-class TestStreamContract:
-    """numpy equivalences the scalar synthesizer relies on to keep its stream.
+#: GPU demands per default model mix (at most 2, at most 8, wider), and all mixed.
+MIX_DEMANDS = {
+    "small": (1, 2),
+    "medium": (4, 8),
+    "large": (16, 32, 64),
+    "mixed": (1, 2, 4, 8, 16, 32, 64),
+}
 
-    The synthesizer draws through cheap primitives that consume the same
-    bits in the same order as the numpy calls they replace.  A numpy
-    release that breaks one of these fails here by name, not as drift in
-    every golden.
+
+def _model_trace(demands, count: int, seed: int) -> Trace:
+    """*count* unassigned jobs whose GPU demands are drawn from *demands*."""
+    widths = np.random.default_rng(seed + 1000).choice(demands, size=count)
+    return Trace([
+        make_job(f"job-{i:06d}", num_gpus=int(width), submit_time=float(i),
+                 gpus_per_node=min(int(width), 8))
+        for i, width in enumerate(widths)
+    ])
+
+
+def _choice_per_job(trace: Trace, rng: np.random.Generator) -> list[str]:
+    """The per-job ``rng.choice(mix)`` loop that ``assign_models`` replaced."""
+    names = []
+    for job in trace:
+        if job.model_name:
+            names.append(job.model_name)
+            continue
+        if job.num_gpus <= 2:
+            mix = _DEFAULT_MIXES[0]
+        elif job.num_gpus <= 8:
+            mix = _DEFAULT_MIXES[1]
+        else:
+            mix = _DEFAULT_MIXES[2]
+        names.append(str(rng.choice(mix)))
+    return names
+
+
+class TestStreamContract:
+    """numpy equivalences the scalar synthesizer and ``assign_models`` rely on.
+
+    Both draw through cheap primitives that consume the same bits in the
+    same order as the numpy calls they replace.  A numpy release that
+    breaks one of these fails here by name, not as drift in every golden.
     """
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
@@ -330,3 +374,65 @@ class TestStreamContract:
             trace = synthesize(name, days=2, seed=0)
         rows = json.dumps(list(trace.frozen_rows()), sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(rows.encode()).hexdigest() == self.TRACE_DIGESTS[name]
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("mix", sorted(MIX_DEMANDS))
+    def test_assign_models_is_choice_per_job(self, mix, seed):
+        trace = _model_trace(MIX_DEMANDS[mix], STREAM_DRAWS, seed)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        a.integers(2**20), b.integers(2**20)  # leave PCG64 a cached half-word
+        expected = _choice_per_job(trace, a)
+        assign_models(trace, seed=b)
+        assert [job.model_name for job in trace] == expected
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_assign_models_rejects_as_choice_does(self):
+        # Lemire's method maps word w to (w * 5) >> 32 for the 5-model mix and
+        # rejects a low half (w * 5) % 2**32 below 2**32 % 5 == 1: word 0 is
+        # rejected, and 0xCCCCCCCD (low half 1) is accepted as pick 4.
+        words = (0, 0xCCCCCCCD)
+        trace = Trace([make_job(num_gpus=4)])
+        a, b = _generator_emitting(*words), _generator_emitting(*words)
+        assert _choice_per_job(trace, a) == [_DEFAULT_MIXES[1][4]]
+        assign_models(trace, seed=b)
+        assert trace[0].model_name == _DEFAULT_MIXES[1][4]
+        positions = {rng.bit_generator.state["state"]["pos"] for rng in (a, b)}
+        assert positions == {len(words)}
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_assign_models_skips_assigned_jobs_without_a_draw(self, seed):
+        trace = _model_trace(MIX_DEMANDS["mixed"], 1000, seed)
+        for job in trace.jobs[::3]:
+            job.model_name = "gpt2-xl"
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _choice_per_job(trace, a)
+        assign_models(trace, seed=b)
+        assert [job.model_name for job in trace] == expected
+        assert all(job.model_name == "gpt2-xl" for job in trace.jobs[::3])
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("assigned", [True, False], ids=["all-assigned", "empty"])
+    def test_assign_models_without_work_draws_nothing(self, assigned):
+        trace = Trace([make_job(num_gpus=4, model_name="dlrm")] if assigned else [])
+        rng = np.random.default_rng(0)
+        rng.integers(2**20)
+        before = rng.bit_generator.state
+        assign_models(trace, seed=rng)
+        assert rng.bit_generator.state == before
+
+    #: sha256 of the compact JSON list of model names after ``assign_models(seed=0)``,
+    #: recorded from the per-job ``rng.choice`` implementation.
+    MODEL_DIGESTS = {
+        "fleet": "f81625cf718938946060b2d9f85613869f35aad1ed2d4d95c549197f2c6e42ad",
+        "tacc-campus": "b6485a020c838c42a2291dd6752dd97a30258cfc9f88cbfe58f5985592da4e00",
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODEL_DIGESTS))
+    def test_model_names_unchanged(self, name):
+        if name == "fleet":
+            trace = fleet_trace(tacc_campus(days=1), seed=0)
+        else:
+            trace = synthesize(name, days=2, seed=0)
+        assign_models(trace, seed=0)
+        names = json.dumps([job.model_name for job in trace], separators=(",", ":"))
+        assert hashlib.sha256(names.encode()).hexdigest() == self.MODEL_DIGESTS[name]
